@@ -297,7 +297,6 @@ impl KgTrainPipeline {
                     orow[span.start + 1 + mode] = 1.0;
                 }
                 (WriteTarget::Conflict { col }, cell) if cell != Cell::Missing => {
-                    // kinet-lint: allow(hot-path-allocation) — terminal error path, aborts the batch loop
                     return Err(DataError::SchemaMismatch(format!(
                         "KG rule on field {:?} samples values of the wrong kind for {} column {:?}",
                         self.compiled.rules().field_name(pf.fid),

@@ -213,7 +213,6 @@ impl Table {
     /// Panics when out of bounds.
     pub fn value(&self, row: usize, col: usize) -> Value {
         match &self.columns[col] {
-            // kinet-lint: allow(transitive-allocation) — on the tape hot cone only via the `.row()`/`.value()` name-collision edges (the tape walks Matrix rows in place)
             ColumnData::Cat(v) => Value::Cat(v[row].clone()),
             ColumnData::Num(v) => Value::Num(v[row]),
         }
@@ -225,7 +224,6 @@ impl Table {
     ///
     /// Panics when `row` is out of bounds.
     pub fn row(&self, row: usize) -> Vec<Value> {
-        // kinet-lint: allow(transitive-allocation) — on the tape hot cone only via the `.row()`/`.value()` name-collision edges (the tape walks Matrix rows in place)
         (0..self.n_cols()).map(|c| self.value(row, c)).collect()
     }
 

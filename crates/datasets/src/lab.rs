@@ -122,7 +122,6 @@ impl LabSimulator {
 
     /// The lab table schema: 6 discrete + 4 continuous columns.
     pub fn schema() -> Schema {
-        // kinet-lint: allow(transitive-allocation) — on the pipeline hot cone only via a name-collision method edge; runs once at fit time
         Schema::new(vec![
             ColumnMeta::categorical("event"),
             ColumnMeta::categorical("device"),

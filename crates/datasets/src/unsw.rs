@@ -145,7 +145,6 @@ impl UnswSimulator {
     pub fn schema() -> Schema {
         let cat = ColumnMeta::categorical;
         let num = ColumnMeta::continuous;
-        // kinet-lint: allow(transitive-allocation) — on the pipeline hot cone only via a name-collision method edge; runs once at fit time
         Schema::new(vec![
             cat("srcip"),
             num("sport"),

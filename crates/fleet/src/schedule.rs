@@ -8,6 +8,10 @@
 //! thread count is pinned to one (a device fit is the unit of parallelism;
 //! nesting GEMM workers under task workers would oversubscribe the host).
 //!
+//! Observability: workers run under the spawning thread's
+//! [`kinet_obs::ThreadMark`], so a task records into the session its
+//! caller belongs to, and into none when the caller belongs to none.
+//!
 //! Determinism: every task derives its randomness from its own index, and
 //! results are returned **in index order** regardless of which worker ran
 //! them or in what order they finished, so a fleet report is bit-identical
@@ -75,23 +79,27 @@ where
     }
     let next = AtomicUsize::new(0);
     let (tx, rx) = channel::unbounded::<(usize, T)>();
+    let mark = kinet_obs::thread_mark();
     crossbeam::thread::scope(|s| {
         for _ in 0..workers {
             let tx = tx.clone();
             let next = &next;
             let f = &f;
-            s.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                // Pin the kernel layer to one thread inside a task worker:
-                // the task is the unit of parallelism here. Results are
-                // bit-identical either way (kernel determinism contract).
-                let result = kinet_tensor::pool::with_threads(1, || f(i));
-                if tx.send((i, result)).is_err() {
-                    return;
-                }
+            s.spawn(move |_| {
+                kinet_obs::with_thread_mark(mark, || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        return;
+                    }
+                    // Pin the kernel layer to one thread inside a task
+                    // worker: the task is the unit of parallelism here.
+                    // Results are bit-identical either way (kernel
+                    // determinism contract).
+                    let result = kinet_tensor::pool::with_threads(1, || f(i));
+                    if tx.send((i, result)).is_err() {
+                        return;
+                    }
+                })
             });
         }
         drop(tx);

@@ -571,10 +571,11 @@ impl ServingModel {
     /// Hot per-batch scorer: pure slice arithmetic over pre-encoded
     /// features — argmax class per row, attack flagging, discriminator
     /// accumulation. Allocation lives in [`ServingModel::score_batch`];
-    /// this loop must stay allocation-free (enforced by `kinet_lint`'s
-    /// hotlist) and panic-free (enforced by the panic-path audit): the
-    /// shapes are checked once up front as a typed error, and the row
-    /// loop itself walks exact-chunk iterators instead of indexing.
+    /// this loop must stay allocation-free (measured by
+    /// `tests/hot_paths_alloc_free.rs`) and panic-free (enforced by the
+    /// panic-path audit): the shapes are checked once up front as a typed
+    /// error, and the row loop itself walks exact-chunk iterators instead
+    /// of indexing.
     fn score_rows(
         &self,
         features: &[f64],

@@ -408,8 +408,9 @@ impl SnapshotStore {
     /// verification. Rejections are recorded (see
     /// [`SnapshotStore::rejected`]) — recovery is loud, never silent.
     ///
-    /// Hot path (`hotlist.toml`): the scan itself allocates nothing; all
-    /// I/O and buffer work lives in the helpers it delegates to.
+    /// Runs once per restart, not per batch, so it is not an
+    /// allocation-free path: its helpers read records and materialize
+    /// owned snapshots.
     ///
     /// # Errors
     ///

@@ -3,9 +3,11 @@
 //! worker-pool sizes for arbitrary scoped workloads, and turning the
 //! layer on never perturbs a fleet round's deterministic fingerprint.
 //!
-//! Sessions are exclusive (a global lock serializes them), so these
-//! tests are safe under the default parallel test runner — they just
-//! queue behind one another.
+//! Sessions are exclusive (a global lock serializes them), and a session
+//! records only from its own threads, so these tests are safe under the
+//! default parallel test runner: sessioned tests queue behind one
+//! another, and an un-sessioned round running beside them stays out of
+//! their journals.
 
 use kinet_fleet::schedule::run_indexed_settled;
 use kinet_fleet::{
@@ -155,4 +157,28 @@ fn faulted_round_journal_bytes_invariant() {
     }
     assert_eq!(renders[0], renders[1], "1 vs 2 workers");
     assert_eq!(renders[0], renders[2], "1 vs 4 workers");
+}
+
+/// Regression: a faulted round with no session, running beside a
+/// sessioned one, must not leak into the session's journal. The session
+/// records only from the thread that started it and the scheduler
+/// workers that inherit its mark.
+#[test]
+fn unsessioned_round_stays_out_of_an_open_session() {
+    let cfg = faulted_config();
+    let solo = {
+        let session = start(ObsConfig::default());
+        with_threads(2, || FleetSim::new(cfg.clone()).run().unwrap());
+        session.finish().journal.render()
+    };
+    let session = start(ObsConfig::default());
+    std::thread::scope(|s| {
+        s.spawn(|| with_threads(2, || FleetSim::new(cfg.clone()).run().unwrap()));
+        with_threads(2, || FleetSim::new(cfg.clone()).run().unwrap());
+    });
+    let shared = session.finish().journal.render();
+    assert_eq!(
+        solo, shared,
+        "the un-sessioned round leaked records into the open session"
+    );
 }

@@ -77,24 +77,17 @@ impl TripleStore {
         // Start from the most selective available index.
         let candidates: Box<dyn Iterator<Item = usize>> = match (s, p, o) {
             (Some(s), _, _) => match self.by_subject.get(s) {
-                // kinet-lint: allow(transitive-allocation) — KG queries run at compile/encode time; on the tape hot cone only via the `.value()`/`.object()` name-collision edges
                 Some(v) => Box::new(v.iter().copied()),
-                // kinet-lint: allow(transitive-allocation) — KG queries run at compile/encode time; on the tape hot cone only via the `.value()`/`.object()` name-collision edges
                 None => return Vec::new(),
             },
             (None, _, Some(o)) => match self.by_object.get(o) {
-                // kinet-lint: allow(transitive-allocation) — KG queries run at compile/encode time; on the tape hot cone only via the `.value()`/`.object()` name-collision edges
                 Some(v) => Box::new(v.iter().copied()),
-                // kinet-lint: allow(transitive-allocation) — KG queries run at compile/encode time; on the tape hot cone only via the `.value()`/`.object()` name-collision edges
                 None => return Vec::new(),
             },
             (None, Some(p), None) => match self.by_predicate.get(p) {
-                // kinet-lint: allow(transitive-allocation) — KG queries run at compile/encode time; on the tape hot cone only via the `.value()`/`.object()` name-collision edges
                 Some(v) => Box::new(v.iter().copied()),
-                // kinet-lint: allow(transitive-allocation) — KG queries run at compile/encode time; on the tape hot cone only via the `.value()`/`.object()` name-collision edges
                 None => return Vec::new(),
             },
-            // kinet-lint: allow(transitive-allocation) — KG queries run at compile/encode time; on the tape hot cone only via the `.value()`/`.object()` name-collision edges
             (None, None, None) => Box::new(0..self.triples.len()),
         };
         candidates
@@ -104,7 +97,6 @@ impl TripleStore {
                     && p.is_none_or(|p| &t.predicate == p)
                     && o.is_none_or(|o| &t.object == o)
             })
-            // kinet-lint: allow(transitive-allocation) — KG queries run at compile/encode time; on the tape hot cone only via the `.value()`/`.object()` name-collision edges
             .collect()
     }
 
@@ -113,7 +105,6 @@ impl TripleStore {
         self.query(Some(s), Some(p), None)
             .into_iter()
             .map(|t| &t.object)
-            // kinet-lint: allow(transitive-allocation) — KG queries run at compile/encode time; on the tape hot cone only via the `.value()`/`.object()` name-collision edges
             .collect()
     }
 

@@ -178,7 +178,7 @@ pub struct Call {
 pub struct BodyScan {
     /// Call sites, in order of appearance.
     pub calls: Vec<Call>,
-    /// Primitive effect sites (allocation, wall-clock, …).
+    /// Primitive effect sites (wall-clock, hash iteration, panics, …).
     pub effects: Vec<EffectSite>,
 }
 
@@ -490,7 +490,7 @@ pub struct LedgerEntry {
 /// Per-root reachability row for `callgraph.json`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RootReach {
-    /// Which analysis owns the root (`alloc`, `taint`, `panic`).
+    /// Which analysis owns the root (`taint` or `panic`).
     pub analysis: String,
     /// Root spec as written in policy (`FleetService::run`).
     pub root: String,

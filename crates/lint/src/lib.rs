@@ -9,18 +9,14 @@
 //! * [`rules::RULE_WALL_CLOCK`] — wall-clock reads only in timing modules,
 //! * [`rules::RULE_NO_UNSAFE`] — every `unsafe` needs a `SAFETY:` comment
 //!   and a committed allowlist entry,
-//! * [`rules::RULE_HOT_ALLOC`] — the `hotlist.toml` functions stay
-//!   allocation-free,
 //! * [`rules::RULE_THREAD_KNOB`] — `KINET_THREADS` stays contained in the
 //!   pool/schedule modules.
 //!
 //! A second, *interprocedural* stage (new in PR 9) parses every file's
 //! items into a lightweight model ([`symbols`]), resolves a conservative
 //! name-based call graph with an explicit unresolved-edge ledger
-//! ([`callgraph`]), and runs three reachability analyses ([`reach`]):
+//! ([`callgraph`]), and runs two reachability analyses ([`reach`]):
 //!
-//! * [`rules::RULE_TRANS_ALLOC`] — allocation anywhere *reachable from* a
-//!   hotlist root, with the full call chain in the finding,
 //! * [`rules::RULE_DETERMINISM_TAINT`] — wall-clock / hash-iteration /
 //!   thread-knob effects reachable from the deterministic roots in
 //!   `crates/lint/reach.toml`,
@@ -35,13 +31,19 @@
 //! `lint_report.json` plus a [`CallGraphSummary`] to `callgraph.json` and
 //! fails CI on any unsuppressed finding.
 //!
+//! The lint does not try to prove that hot paths are allocation-free: a
+//! name-based model cannot see through `Vec::with_capacity` or a thread
+//! spawn, and it drowns in name-collision edges. That contract is a
+//! measurement instead — `tests/hot_paths_alloc_free.rs` counts heap
+//! allocations around the real hot calls with a counting global
+//! allocator and asserts zero.
+//!
 //! The per-file scan runs on `KINET_THREADS` workers over contiguous
 //! slabs of the sorted file list; results are merged in file order and
 //! every downstream stage is order-invariant, so the report and graph
 //! bytes are identical for any thread count (pinned by proptests).
 
 pub mod callgraph;
-pub mod hotlist;
 pub mod lexer;
 pub mod reach;
 pub mod report;
@@ -50,7 +52,6 @@ pub mod suppress;
 pub mod symbols;
 
 pub use callgraph::{CallGraph, CallGraphSummary};
-pub use hotlist::{parse_hotlist, parse_unsafe_allowlist, HotFile};
 pub use reach::ReachPolicy;
 pub use report::{Finding, LintReport, SCHEMA_VERSION};
 pub use rules::{scan_source, LintConfig};
@@ -98,21 +99,24 @@ fn relpath(path: &Path, root: &Path) -> String {
         .join("/")
 }
 
-/// Loads the repository's standing policy: `crates/lint/hotlist.toml` and
-/// `crates/lint/unsafe_allowlist.txt` under `root`, wrapped in
-/// [`LintConfig::repo_policy`].
+/// Parses the unsafe allowlist: one workspace-relative path per line, one
+/// line per permitted `unsafe` site (a file with two sites appears twice);
+/// `#` comments and blank lines are ignored.
+pub fn parse_unsafe_allowlist(text: &str) -> Vec<String> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Loads the repository's standing policy: `crates/lint/unsafe_allowlist.txt`
+/// under `root`, wrapped in [`LintConfig::repo_policy`].
 pub fn load_workspace_config(root: &Path) -> Result<LintConfig, String> {
-    let hot_path = root.join("crates/lint/hotlist.toml");
-    let hot_text =
-        fs::read_to_string(&hot_path).map_err(|e| format!("read {}: {e}", hot_path.display()))?;
-    let hotlist = parse_hotlist(&hot_text).map_err(|e| format!("{}: {e}", hot_path.display()))?;
     let allow_path = root.join("crates/lint/unsafe_allowlist.txt");
     let allow_text = fs::read_to_string(&allow_path)
         .map_err(|e| format!("read {}: {e}", allow_path.display()))?;
-    Ok(LintConfig::repo_policy(
-        hotlist,
-        parse_unsafe_allowlist(&allow_text),
-    ))
+    Ok(LintConfig::repo_policy(parse_unsafe_allowlist(&allow_text)))
 }
 
 /// Loads the reachability policy: `crates/lint/reach.toml` plus
@@ -161,7 +165,7 @@ pub fn run_full(
         .map(|s| (s.relpath.clone(), std::mem::take(&mut s.nodes)))
         .collect();
     let graph = callgraph::CallGraph::build(graph_nodes);
-    let outcome = reach::run_analyses(&graph, &cfg.hotlist, policy);
+    let outcome = reach::run_analyses(&graph, policy);
 
     // Global suppression resolution: each file's inline allows see both
     // its local hits and the interprocedural findings that landed in it.
@@ -259,4 +263,17 @@ pub fn run_workspace_with_threads(root: &Path, threads: usize) -> Result<Workspa
     let cfg = load_workspace_config(root)?;
     let (policy, policy_findings) = load_reach_policy(root)?;
     run_full(root, &cfg, &policy, policy_findings, threads)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unsafe_allowlist_counts_lines() {
+        let text = "# none yet\n\ncrates/x/src/a.rs\ncrates/x/src/a.rs\n";
+        let list = parse_unsafe_allowlist(text);
+        assert_eq!(list.len(), 2);
+        assert!(parse_unsafe_allowlist("# empty\n").is_empty());
+    }
 }

@@ -1,37 +1,34 @@
-//! The three interprocedural reachability analyses.
+//! The two interprocedural reachability analyses.
 //!
 //! Built on the [`crate::callgraph`] stage, each analysis pairs a **root
 //! set** (from committed policy) with a **sink effect** (a primitive
 //! token pattern found in function bodies) and reports every sink
 //! reachable from a root, with the full call chain in the message:
 //!
-//! 1. **transitive-allocation** — roots are the `hotlist.toml`
-//!    functions; sinks are allocation tokens. The per-function
-//!    `hot-path-allocation` rule patrols the roots themselves; this
-//!    analysis patrols everything they can call
-//!    (`gemm → helper → Vec::new`). Suppressible inline at the sink.
-//! 2. **determinism-taint** — roots are the fingerprint renderers,
+//! 1. **determinism-taint** — roots are the fingerprint renderers,
 //!    report constructors, and seeded RNG domains named in
 //!    `reach.toml [taint] roots`; sinks are wall-clock reads,
 //!    hash-container iteration, and thread-knob references outside the
 //!    `[taint] sanctioned` modules. Suppressible inline at the sink.
-//! 3. **panic-path** — roots are the resident serving path named in
+//! 2. **panic-path** — roots are the resident serving path named in
 //!    `reach.toml [panic] roots`; sinks are `unwrap`/`expect`,
 //!    panicking macros, and indexing expressions. *Never* inline
 //!    suppressible: only a committed `panic_allowlist.txt` entry with a
 //!    written reason clears a site, mirroring the no-new-unsafe rule.
+//!
+//! Allocation-freedom is not modelled here: it is measured at run time by
+//! the counting allocator in `tests/hot_paths_alloc_free.rs`.
 //!
 //! Every analysis is deterministic: roots are processed in policy order,
 //! BFS uses sorted adjacency, and duplicate sinks reachable from several
 //! roots collapse onto the first (shortest) chain.
 
 use crate::callgraph::{CallGraph, RootReach};
-use crate::hotlist::HotFile;
 use crate::lexer::{TokKind, Token};
 use crate::report::Finding;
 use crate::rules::{
-    alloc_sites, hash_iter_sites, thread_knob_sites, wall_clock_sites, RULE_DETERMINISM_TAINT,
-    RULE_PANIC_PATH, RULE_SUPPRESSION, RULE_TRANS_ALLOC,
+    hash_iter_sites, thread_knob_sites, wall_clock_sites, RULE_DETERMINISM_TAINT, RULE_PANIC_PATH,
+    RULE_SUPPRESSION,
 };
 use crate::symbols::is_expr_keyword;
 use std::collections::BTreeMap;
@@ -39,8 +36,6 @@ use std::collections::BTreeMap;
 /// What a primitive effect site does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EffectKind {
-    /// Heap allocation (`Vec::new`, `vec!`, `clone`, `collect`, …).
-    Alloc,
     /// Wall-clock read (`Instant::now`, `SystemTime`).
     WallClock,
     /// Iteration over a hash container binding.
@@ -67,13 +62,6 @@ pub struct EffectSite {
 /// [`crate::rules::hash_bindings`]).
 pub fn scan_effects(body: &[&Token], hash_names: &[String]) -> Vec<EffectSite> {
     let mut out = Vec::new();
-    for (line, what) in alloc_sites(body) {
-        out.push(EffectSite {
-            kind: EffectKind::Alloc,
-            line,
-            what,
-        });
-    }
     for (line, what) in wall_clock_sites(body) {
         out.push(EffectSite {
             kind: EffectKind::WallClock,
@@ -238,8 +226,8 @@ pub struct ReachPolicy {
     pub panic_allow: Vec<PanicAllow>,
 }
 
-/// Parses `reach.toml` (the same hand-rolled TOML subset as
-/// `hotlist.toml`): `[taint]` with `roots`/`sanctioned` string arrays and
+/// Parses `reach.toml`, a hand-rolled TOML subset (no TOML crate in the
+/// offline build): `[taint]` with `roots`/`sanctioned` string arrays and
 /// `[panic]` with `roots`.
 ///
 /// # Errors
@@ -267,7 +255,7 @@ pub fn parse_reach(text: &str) -> Result<ReachPolicy, String> {
             return Err(format!("{lineno}: unrecognized policy line {line:?}"));
         };
         let key = key.trim();
-        let values = crate::hotlist::parse_string_array(value.trim())
+        let values = parse_string_array(value.trim())
             .ok_or_else(|| format!("{lineno}: {key} wants [\"…\"]"))?;
         match (section.as_str(), key) {
             ("taint", "roots") => policy.taint_roots = values,
@@ -277,6 +265,21 @@ pub fn parse_reach(text: &str) -> Result<ReachPolicy, String> {
         }
     }
     Ok(policy)
+}
+
+/// `["a", "b"]` → `["a", "b"]`; `None` on anything else.
+fn parse_string_array(v: &str) -> Option<Vec<String>> {
+    let inner = v.strip_prefix('[')?.strip_suffix(']')?.trim();
+    if inner.is_empty() {
+        return Some(Vec::new());
+    }
+    inner
+        .split(',')
+        .map(|item| {
+            let s = item.trim().strip_prefix('"')?.strip_suffix('"')?;
+            (!s.contains('"')).then(|| s.to_string())
+        })
+        .collect()
 }
 
 /// Output of the interprocedural stage: findings (panic ones already
@@ -290,88 +293,13 @@ pub struct ReachOutcome {
     pub roots: Vec<RootReach>,
 }
 
-/// Runs all three analyses over a built graph.
-pub fn run_analyses(graph: &CallGraph, hotlist: &[HotFile], policy: &ReachPolicy) -> ReachOutcome {
+/// Runs both analyses over a built graph.
+pub fn run_analyses(graph: &CallGraph, policy: &ReachPolicy) -> ReachOutcome {
     let mut findings = Vec::new();
     let mut roots = Vec::new();
-    transitive_allocation(graph, hotlist, &mut findings, &mut roots);
     determinism_taint(graph, policy, &mut findings, &mut roots);
     panic_path(graph, policy, &mut findings, &mut roots);
     ReachOutcome { findings, roots }
-}
-
-/// Hotlisted functions, resolved to node ids per manifest entry. A hot
-/// function missing from its file is already a per-file finding
-/// (manifest drift) — not repeated here.
-fn hot_roots(graph: &CallGraph, hotlist: &[HotFile]) -> Vec<(String, Vec<usize>)> {
-    let mut out = Vec::new();
-    for hot in hotlist {
-        for fname in &hot.functions {
-            let ids: Vec<usize> = graph
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| n.file == hot.file && n.item.name == *fname)
-                .map(|(id, _)| id)
-                .collect();
-            out.push((format!("{}::{fname}", hot.file), ids));
-        }
-    }
-    out
-}
-
-fn transitive_allocation(
-    graph: &CallGraph,
-    hotlist: &[HotFile],
-    findings: &mut Vec<Finding>,
-    roots_out: &mut Vec<RootReach>,
-) {
-    // Nodes that are themselves hotlisted: patrolled per-function by the
-    // local rule, so their own allocation sites are not re-reported.
-    let mut is_hot = vec![false; graph.nodes.len()];
-    let specs = hot_roots(graph, hotlist);
-    for (_, ids) in &specs {
-        for &id in ids {
-            is_hot[id] = true;
-        }
-    }
-    let mut seen_sites: BTreeMap<(String, usize, String), ()> = BTreeMap::new();
-    for (spec, ids) in &specs {
-        let parent = graph.bfs(ids);
-        let reached = reached_set(graph, ids, &parent);
-        roots_out.push(RootReach {
-            analysis: "alloc".to_string(),
-            root: spec.clone(),
-            reachable: reached.len(),
-        });
-        for &node in &reached {
-            if is_hot[node] {
-                continue;
-            }
-            let n = &graph.nodes[node];
-            for e in n.effects.iter().filter(|e| e.kind == EffectKind::Alloc) {
-                let key = (n.file.clone(), e.line, e.what.clone());
-                if seen_sites.contains_key(&key) {
-                    continue;
-                }
-                seen_sites.insert(key, ());
-                findings.push(Finding {
-                    rule: RULE_TRANS_ALLOC.to_string(),
-                    file: n.file.clone(),
-                    line: e.line,
-                    message: format!(
-                        "`{}` allocates in `{}`, reachable from hot `{spec}`: {} → `{}`",
-                        e.what,
-                        n.display(),
-                        graph.chain(&parent, node),
-                        e.what
-                    ),
-                    suppressed: false,
-                    reason: String::new(),
-                });
-            }
-        }
-    }
 }
 
 fn determinism_taint(

@@ -6,7 +6,6 @@
 //! (the env-var name travels as a string). Scope policy lives in
 //! [`LintConfig`]; see DESIGN.md §2.6 for the catalog rationale.
 
-use crate::hotlist::HotFile;
 use crate::lexer::{TokKind, Token};
 use crate::report::Finding;
 use crate::suppress::{covering, parse_suppressions, SuppressError, Suppression};
@@ -19,17 +18,11 @@ pub const RULE_WALL_CLOCK: &str = "wall-clock";
 /// Any `unsafe` token without a `// SAFETY:` comment *and* an allowlist
 /// entry. Never inline-suppressible.
 pub const RULE_NO_UNSAFE: &str = "no-new-unsafe";
-/// Allocation inside a `hotlist.toml` function body.
-pub const RULE_HOT_ALLOC: &str = "hot-path-allocation";
 /// `KINET_THREADS` / `num_threads` referenced outside the pool/schedule
 /// modules that own the knob.
 pub const RULE_THREAD_KNOB: &str = "thread-knob";
 /// Malformed / reason-less / unknown-rule suppression comments.
 pub const RULE_SUPPRESSION: &str = "suppression";
-/// Allocation in a function *reachable from* a `hotlist.toml` root — the
-/// interprocedural extension of [`RULE_HOT_ALLOC`] (see [`crate::reach`]).
-/// Suppressible inline at the sink line.
-pub const RULE_TRANS_ALLOC: &str = "transitive-allocation";
 /// Wall-clock, hash-iteration, or thread-knob effects reachable from a
 /// deterministic root (`reach.toml [taint]`). Suppressible inline at the
 /// sink line.
@@ -49,9 +42,7 @@ pub fn known_rule(name: &str) -> bool {
         RULE_NONDET_ITER
             | RULE_WALL_CLOCK
             | RULE_NO_UNSAFE
-            | RULE_HOT_ALLOC
             | RULE_THREAD_KNOB
-            | RULE_TRANS_ALLOC
             | RULE_DETERMINISM_TAINT
             | RULE_PANIC_PATH
     )
@@ -63,9 +54,7 @@ pub fn rule_catalog() -> Vec<String> {
         RULE_NONDET_ITER,
         RULE_WALL_CLOCK,
         RULE_NO_UNSAFE,
-        RULE_HOT_ALLOC,
         RULE_THREAD_KNOB,
-        RULE_TRANS_ALLOC,
         RULE_DETERMINISM_TAINT,
         RULE_PANIC_PATH,
     ]
@@ -74,7 +63,7 @@ pub fn rule_catalog() -> Vec<String> {
     .collect()
 }
 
-/// Scope policy + manifests for one lint run.
+/// Scope policy + the unsafe allowlist for one lint run.
 #[derive(Clone, Debug)]
 pub struct LintConfig {
     /// Crate directory names under `crates/` whose `src/` trees promise
@@ -86,16 +75,15 @@ pub struct LintConfig {
     /// Path prefixes that may reference the thread knob (the modules that
     /// own it, plus this linter's own rule tables).
     pub thread_allow: Vec<String>,
-    /// Allocation-free function manifest (`hotlist.toml`).
-    pub hotlist: Vec<HotFile>,
     /// Committed `unsafe` allowlist: one path entry per permitted site.
     pub unsafe_allow: Vec<String>,
 }
 
 impl LintConfig {
-    /// The repository's standing policy (manifests supplied by the caller;
-    /// [`crate::load_workspace_config`] reads them from `crates/lint/`).
-    pub fn repo_policy(hotlist: Vec<HotFile>, unsafe_allow: Vec<String>) -> Self {
+    /// The repository's standing policy (the unsafe allowlist supplied by
+    /// the caller; [`crate::load_workspace_config`] reads it from
+    /// `crates/lint/`).
+    pub fn repo_policy(unsafe_allow: Vec<String>) -> Self {
         LintConfig {
             deterministic_crates: ["tensor", "nn", "kg", "data", "core", "fleet", "obs"]
                 .iter()
@@ -114,7 +102,6 @@ impl LintConfig {
                 // The linter's own rule tables spell the tokens they hunt.
                 "crates/lint/src/".into(),
             ],
-            hotlist,
             unsafe_allow,
         }
     }
@@ -156,9 +143,6 @@ pub fn scan_file(relpath: &str, src: &str, cfg: &LintConfig) -> FileScan {
         && !cfg.thread_allow.iter().any(|p| relpath.starts_with(p))
     {
         thread_knob(&code, &mut raw);
-    }
-    for hot in cfg.hotlist.iter().filter(|h| h.file == relpath) {
-        hot_path_alloc(&code, hot, &mut raw);
     }
 
     // no-new-unsafe is stricter: inline `allow` does not apply; only a
@@ -459,7 +443,7 @@ fn wall_clock(code: &[&Token], out: &mut Vec<(String, usize, String)>) {
 }
 
 /// Thread-knob reference sites: the `num_threads` identifier and any
-/// string literal carrying `KINET_THREADS`. Shared by rule 5 and the
+/// string literal carrying `KINET_THREADS`. Shared by rule 4 and the
 /// taint effect scan.
 pub(crate) fn thread_knob_sites(code: &[&Token]) -> Vec<(usize, &'static str)> {
     let mut out = Vec::new();
@@ -474,7 +458,7 @@ pub(crate) fn thread_knob_sites(code: &[&Token]) -> Vec<(usize, &'static str)> {
     out
 }
 
-/// Rule 5: thread-knob containment — the knob may only be read where the
+/// Rule 4: thread-knob containment — the knob may only be read where the
 /// pool owns it, so every other module inherits one consistent worker
 /// count.
 fn thread_knob(code: &[&Token], out: &mut Vec<(String, usize, String)>) {
@@ -486,81 +470,6 @@ fn thread_knob(code: &[&Token], out: &mut Vec<(String, usize, String)>) {
         };
         out.push((RULE_THREAD_KNOB.to_string(), line, message));
     }
-}
-
-const ALLOC_IDENTS: [&str; 4] = ["clone", "to_vec", "collect", "to_string"];
-const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-const ALLOC_PATHS: [(&str, &str); 3] = [("Vec", "new"), ("String", "new"), ("Box", "new")];
-
-/// Rule 4: allocation tokens inside a hotlisted function body. Body
-/// ranges come from the same hardened extractor that feeds the call
-/// graph ([`crate::symbols::fn_body`]).
-fn hot_path_alloc(code: &[&Token], hot: &HotFile, out: &mut Vec<(String, usize, String)>) {
-    for fname in &hot.functions {
-        let mut found = false;
-        let mut i = 0usize;
-        while i + 1 < code.len() {
-            if code[i].is_ident("fn") && code[i + 1].is_ident(fname) {
-                if let Some((body_start, body_end)) = crate::symbols::fn_body(code, i + 2) {
-                    found = true;
-                    for (line, what) in alloc_sites(&code[body_start..body_end]) {
-                        out.push((
-                            RULE_HOT_ALLOC.to_string(),
-                            line,
-                            format!(
-                                "`{what}` allocates inside hot function `{fname}` \
-                                 (allocation-free contract)"
-                            ),
-                        ));
-                    }
-                    i = body_end;
-                    continue;
-                }
-            }
-            i += 1;
-        }
-        if !found {
-            out.push((
-                RULE_HOT_ALLOC.to_string(),
-                1,
-                format!(
-                    "hotlist names `fn {fname}` but {} does not define it — \
-                     update crates/lint/hotlist.toml so coverage does not rot",
-                    hot.file
-                ),
-            ));
-        }
-    }
-}
-
-/// Allocation sites in a body: allocating method names, `vec!`/`format!`
-/// macros, and `Vec::new`-style constructor paths. Shared by rule 4 and
-/// the transitive-allocation effect scan in [`crate::reach`].
-pub(crate) fn alloc_sites(body: &[&Token]) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (i, t) in body.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let what = if ALLOC_IDENTS.contains(&t.text.as_str()) {
-            Some(t.text.clone())
-        } else if ALLOC_MACROS.contains(&t.text.as_str())
-            && body.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            Some(format!("{}!", t.text))
-        } else if let Some((head, tail)) = ALLOC_PATHS.iter().find(|(head, _)| t.is_ident(head)) {
-            (body.get(i + 1).is_some_and(|n| n.is_punct(':'))
-                && body.get(i + 2).is_some_and(|n| n.is_punct(':'))
-                && body.get(i + 3).is_some_and(|n| n.is_ident(tail)))
-            .then(|| format!("{head}::{tail}"))
-        } else {
-            None
-        };
-        if let Some(what) = what {
-            out.push((t.line, what));
-        }
-    }
-    out
 }
 
 /// Rule 3: `unsafe` tokens. A site is only clean with BOTH a `SAFETY:`
@@ -666,7 +575,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> LintConfig {
-        LintConfig::repo_policy(Vec::new(), Vec::new())
+        LintConfig::repo_policy(Vec::new())
     }
 
     fn scan(path: &str, src: &str) -> Vec<Finding> {
@@ -760,31 +669,6 @@ mod tests {
         assert!(scan("crates/tensor/src/x.rs", allowed)
             .iter()
             .any(|f| f.rule == RULE_NO_UNSAFE && !f.suppressed));
-    }
-
-    #[test]
-    fn hotlist_scans_bodies_and_reports_drift() {
-        let mut c = cfg();
-        c.hotlist.push(HotFile {
-            file: "crates/nn/src/x.rs".into(),
-            functions: vec!["hot".into(), "gone".into()],
-        });
-        let src = "fn cold() { let v = vec![1]; drop(v.clone()); }\n\
-                   fn hot() { let v = vec![1]; let w = v.to_vec(); drop(w); }\n";
-        let hits = scan_source("crates/nn/src/x.rs", src, &c);
-        let hot: Vec<&Finding> = hits.iter().filter(|f| f.rule == RULE_HOT_ALLOC).collect();
-        assert!(hot.iter().any(|f| f.line == 2 && f.message.contains("vec")));
-        assert!(hot
-            .iter()
-            .any(|f| f.line == 2 && f.message.contains("to_vec")));
-        assert!(
-            hot.iter().any(|f| f.message.contains("gone")),
-            "missing hot fn is manifest drift: {hits:?}"
-        );
-        assert!(
-            !hot.iter().any(|f| f.message.contains("clone")),
-            "cold fn not scanned"
-        );
     }
 
     #[test]

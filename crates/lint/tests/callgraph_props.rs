@@ -42,7 +42,7 @@ fn synthetic_files() -> Vec<(String, String)> {
 }
 
 fn graph_of(files: Vec<(String, String)>) -> CallGraph {
-    let cfg = LintConfig::repo_policy(Vec::new(), Vec::new());
+    let cfg = LintConfig::repo_policy(Vec::new());
     CallGraph::build(
         files
             .into_iter()

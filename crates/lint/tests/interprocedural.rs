@@ -1,12 +1,10 @@
 //! End-to-end coverage of the interprocedural analyses over the fixture
 //! tree: one positive and one negative fixture per analysis
-//! (transitive-allocation, determinism-taint, panic-path), the
+//! (determinism-taint, panic-path), the
 //! allowlist/stale-entry/root-drift diagnostics, and the call-graph
 //! summary the gate uploads as `callgraph.json`.
 
-use kinet_lint::rules::{
-    RULE_DETERMINISM_TAINT, RULE_PANIC_PATH, RULE_SUPPRESSION, RULE_TRANS_ALLOC,
-};
+use kinet_lint::rules::{RULE_DETERMINISM_TAINT, RULE_PANIC_PATH, RULE_SUPPRESSION};
 use kinet_lint::{run_workspace, Finding, WorkspaceLint};
 use std::path::PathBuf;
 
@@ -21,41 +19,6 @@ fn by_rule<'a>(lint: &'a WorkspaceLint, rule: &str) -> Vec<&'a Finding> {
         .iter()
         .filter(|f| f.rule == rule)
         .collect()
-}
-
-#[test]
-fn transitive_allocation_positive_carries_the_full_chain() {
-    let lint = fixture_lint();
-    let hits = by_rule(&lint, RULE_TRANS_ALLOC);
-    let pos: Vec<_> = hits
-        .iter()
-        .filter(|f| f.file == "crates/nn/src/trans_alloc_pos.rs")
-        .collect();
-    assert_eq!(pos.len(), 1, "one hidden vec! sink: {hits:?}");
-    let f = pos[0];
-    assert!(!f.suppressed);
-    assert!(
-        f.message.contains("hot_outer → scale_buffer_fx → `vec!`"),
-        "chain must be rendered in full: {}",
-        f.message
-    );
-    assert!(
-        f.message
-            .contains("hot `crates/nn/src/trans_alloc_pos.rs::hot_outer`"),
-        "the hot root is named: {}",
-        f.message
-    );
-}
-
-#[test]
-fn transitive_allocation_negative_stays_clean() {
-    let lint = fixture_lint();
-    assert!(
-        by_rule(&lint, RULE_TRANS_ALLOC)
-            .iter()
-            .all(|f| f.file != "crates/nn/src/trans_alloc_neg.rs"),
-        "the allocation-free chain must not be flagged"
-    );
 }
 
 #[test]
@@ -181,8 +144,11 @@ fn callgraph_summary_reports_ledger_and_root_sizes() {
         .find(|r| r.analysis == "panic" && r.root == "serve_rows_fx")
         .expect("panic root row");
     assert_eq!(panic_pos.reachable, 2, "root + pick_best_fx");
-    // Hot roots appear too (analysis = alloc).
-    assert!(g.roots.iter().any(|r| r.analysis == "alloc"
-        && r.root == "crates/nn/src/trans_alloc_pos.rs::hot_outer"
-        && r.reachable == 2));
+    assert!(
+        g.roots
+            .iter()
+            .all(|r| r.analysis == "taint" || r.analysis == "panic"),
+        "only the taint and panic analyses own roots: {:?}",
+        g.roots
+    );
 }

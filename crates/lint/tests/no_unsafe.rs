@@ -1,6 +1,8 @@
 //! Pins the workspace's `unsafe` budget to the committed allowlist:
 //! the total number of `unsafe` tokens across every workspace and vendor
-//! source must equal the number of allowlist entries — currently zero.
+//! source must equal the number of allowlist entries. The only entries
+//! are the three sites of the counting allocator in
+//! `tests/hot_paths_alloc_free.rs`; library code stays unsafe-free.
 //! Adding an unsafe block without an allowlist entry (plus its SAFETY
 //! comment) breaks this test *and* the lint gate.
 
@@ -29,8 +31,8 @@ fn unsafe_token_count_equals_allowlist_entries() {
         "unsafe tokens vs allowlist entries — sites: {sites:?}"
     );
     assert_eq!(
-        cfg.unsafe_allow.len(),
-        0,
-        "the workspace is expected to stay unsafe-free"
+        cfg.unsafe_allow,
+        vec!["tests/hot_paths_alloc_free.rs"; 3],
+        "unsafe is budgeted only for the allocation test's counting allocator"
     );
 }

@@ -45,7 +45,6 @@ impl Param {
 
     /// Clones the current value out of the cell.
     pub fn value(&self) -> Matrix {
-        // kinet-lint: allow(transitive-allocation) — accessor clones by contract; the optimizer hot loops use the in-place paths — on the tape hot cone only via the `.row()`/`.value()` name-collision edges (the tape walks Matrix rows in place)
         self.inner.borrow().value.clone()
     }
 

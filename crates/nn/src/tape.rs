@@ -101,7 +101,6 @@ impl Tape {
     }
 
     fn value_of(&self, idx: usize) -> Matrix {
-        // kinet-lint: allow(transitive-allocation) — accessor clone behind Var::value; backward reads node storage in place — on the tape hot cone only via the `.row()`/`.value()` name-collision edges (the tape walks Matrix rows in place)
         self.nodes.borrow()[idx].value.clone()
     }
 

@@ -18,12 +18,12 @@
 //! activation races with nobody.
 
 use crate::{
-    enabled, scope_key, scope_label, Field, Record, RecordKind, Scope, MAX_FIELDS, NO_FIELD,
+    current_epoch, enabled, scope_key, scope_label, Field, Record, RecordKind, Scope, MAX_FIELDS,
+    NO_FIELD,
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One active scope on this thread.
@@ -43,10 +43,6 @@ thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Bumped by every session start; stale thread-local frames are
-/// detected by epoch mismatch.
-pub(crate) static EPOCH: AtomicU64 = AtomicU64::new(0);
-
 /// Per-scope next-sequence continuation map.
 pub(crate) static SEQS: Mutex<BTreeMap<u64, u32>> = Mutex::new(BTreeMap::new());
 
@@ -57,10 +53,6 @@ pub(crate) static SINK: Mutex<Vec<Record>> = Mutex::new(Vec::new());
 /// this layer must stay panic-free on the serving path.
 pub(crate) fn lock_poison_free<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn current_epoch() -> u64 {
-    AtomicU64::load(&EPOCH, Ordering::Relaxed)
 }
 
 /// Runs `f` with `scope` active on this thread. Nested activation of a
@@ -134,8 +126,9 @@ fn record(kind: RecordKind, target: &'static str, ticks: u64, fields: &[Field]) 
     });
 }
 
-/// Appends one record to an active frame. Hot (patrolled by
-/// `crates/lint/hotlist.toml`): plain word moves plus one `Vec::push`.
+/// Appends one record to an active frame. Hot: plain word moves plus one
+/// `Vec::push` into the frame's preallocated buffer (allocation-free,
+/// measured by `tests/hot_paths_alloc_free.rs`).
 fn push_record(
     frame: &mut Frame,
     kind: RecordKind,
@@ -177,8 +170,8 @@ fn flush_frame(frame: Frame) {
 
 /// Sorts records into the canonical `(scope, seq)` merge order. The key
 /// is unique per record, so the order — and therefore the journal bytes
-/// — is total and thread-count-invariant. Hot (hotlist-patrolled):
-/// in-place, allocation-free.
+/// — is total and thread-count-invariant. Hot: in-place and
+/// allocation-free (measured by `tests/hot_paths_alloc_free.rs`).
 pub fn merge_records(records: &mut [Record]) {
     records.sort_unstable_by_key(|r| (r.scope, r.seq));
 }
@@ -340,6 +333,23 @@ mod tests {
         event("orphan.inside", 0, &[]); // no active scope frame
         let capture = session.finish();
         assert!(capture.journal.records().is_empty());
+    }
+
+    #[test]
+    fn threads_outside_the_session_record_nothing() {
+        let session = crate::start(ObsConfig::default());
+        let mark = crate::thread_mark();
+        std::thread::scope(|s| {
+            s.spawn(|| with_scope(Scope::Device(0), || event("stranger", 0, &[])));
+            s.spawn(|| {
+                crate::with_thread_mark(mark, || {
+                    with_scope(Scope::Device(1), || event("member", 0, &[]))
+                })
+            });
+        });
+        let capture = session.finish();
+        let targets: Vec<&str> = capture.journal.records().iter().map(|r| r.target).collect();
+        assert_eq!(targets, ["member"], "only marked threads record");
     }
 
     #[test]

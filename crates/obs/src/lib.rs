@@ -19,11 +19,16 @@
 //!
 //! The whole layer is **off by default**: every record/increment entry
 //! point first reads one relaxed [`AtomicBool`], and the disabled path
-//! allocates nothing (the record/merge hot functions are patrolled by
-//! `crates/lint/hotlist.toml`). Instrumented library code never starts
-//! a session itself — gates, benches, and tests opt in with
-//! [`start`], which holds a global session lock so concurrent tests
-//! cannot interleave their captures.
+//! allocates nothing (measured by the counting-allocator test
+//! `tests/hot_paths_alloc_free.rs`). Instrumented library code never
+//! starts a session itself — gates, benches, and tests opt in with
+//! [`start`]. Sessions are exclusive (a global lock makes a second
+//! [`start`] wait), and a session records only from the threads that
+//! belong to it: [`start`] marks the calling thread, and worker threads
+//! join by running under the spawner's [`ThreadMark`] (the fleet
+//! scheduler does this for every task worker). A run on any other thread
+//! — a sibling test's un-sessioned round, say — stays invisible to the
+//! open session.
 //!
 //! Timestamp discipline: records emitted from *inside* concurrently
 //! scheduled device closures must not read the shared `VirtualClock`
@@ -37,7 +42,8 @@ pub mod metrics;
 pub mod ring;
 pub mod session;
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 pub use journal::{
     event, merge_records, snapshot_records, span_close, span_open, with_scope, FieldSnap, Journal,
@@ -49,19 +55,67 @@ pub use session::{start, Capture, ObsConfig, Session};
 /// checks it first so the disabled path costs one relaxed load.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// `true` while an observability session is active.
-///
-/// Written in qualified form: `.load(` as a method token would collide
-/// with the workspace's `Dataset::load`/`RoundCheckpoint::load` in the
-/// lint call graph and drag their allocation cones onto every hot path
-/// that checks the switch.
-#[inline]
-pub fn enabled() -> bool {
-    AtomicBool::load(&ENABLED, Ordering::Relaxed)
+/// Bumped by every session start. A thread belongs to the open session
+/// when its mark equals the current epoch; stale thread-local scope
+/// frames are detected the same way.
+static EPOCH: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The session epoch this thread records into (0: none).
+    static MARK: Cell<u64> = const { Cell::new(0) };
 }
 
-pub(crate) fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+/// `true` while an observability session is active *and* the calling
+/// thread belongs to it. The global flag is read first, so outside a
+/// session this is one relaxed load.
+///
+/// Written in qualified form: as a method call, `.load(` resolves by name
+/// in `kinet_lint`'s call graph to `Dataset::load` and
+/// `RoundCheckpoint::load`, and the panic-path analysis would then charge
+/// their `expect()`s to the serving roots that reach this switch.
+#[inline]
+pub fn enabled() -> bool {
+    AtomicBool::load(&ENABLED, Ordering::Relaxed) && MARK.get() == current_epoch()
+}
+
+/// The current session epoch; qualified for the same reason as
+/// [`enabled`].
+pub(crate) fn current_epoch() -> u64 {
+    AtomicU64::load(&EPOCH, Ordering::Relaxed)
+}
+
+/// Opens a new epoch, marks the calling thread as its member, and turns
+/// recording on (session start).
+pub(crate) fn open_epoch() {
+    let epoch = EPOCH.fetch_add(1, Ordering::SeqCst) + 1;
+    MARK.set(epoch);
+    ENABLED.store(true, Ordering::SeqCst);
+}
+
+pub(crate) fn close_epoch() {
+    ENABLED.store(false, Ordering::SeqCst);
+}
+
+/// Which session, if any, a thread records into. Copy it on the spawning
+/// thread with [`thread_mark`] and hand it to a worker's
+/// [`with_thread_mark`], so the worker's records land in the same
+/// session as its spawner's — and nowhere else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ThreadMark(u64);
+
+/// The calling thread's session membership.
+#[inline]
+pub fn thread_mark() -> ThreadMark {
+    ThreadMark(MARK.get())
+}
+
+/// Runs `f` with the calling thread carrying `mark`, restoring its own
+/// mark afterwards.
+pub fn with_thread_mark<T>(mark: ThreadMark, f: impl FnOnce() -> T) -> T {
+    let prev = MARK.replace(mark.0);
+    let out = f();
+    MARK.set(prev);
+    out
 }
 
 /// Maximum `key=value` fields carried inline by one [`Record`].

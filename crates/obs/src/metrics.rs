@@ -6,8 +6,9 @@
 //! declaration order, so the serialized snapshot bytes are stable.
 //! Counter sums, maxima, and bucket tallies are order-independent, so
 //! the snapshot is identical for any `KINET_THREADS` value. All update
-//! paths are gated on the session switch and touch no heap — safe to
-//! call from the hotlist-patrolled serving loop.
+//! paths are gated on [`crate::enabled`] — the session switch plus the
+//! calling thread's session mark — and touch no heap, so the serving
+//! loop can call them (measured by `tests/hot_paths_alloc_free.rs`).
 
 use crate::enabled;
 use serde::{Deserialize, Serialize};
@@ -317,14 +318,27 @@ mod tests {
     use super::*;
     use crate::ObsConfig;
 
-    #[test]
-    fn instruments_are_inert_outside_a_session() {
+    fn touch_every_kind() {
         SERVING_ROWS_SCORED.incr(10);
         DATA_PEAK_DECODED_ROWS.record_max(99);
         SERVING_BATCH_TICKS.observe_ticks(100);
+    }
+
+    #[test]
+    fn instruments_are_inert_outside_a_session() {
+        // No session: dropped at the global flag.
+        touch_every_kind();
+        // A session is open, but on another thread: this one is not a
+        // member, so its updates are dropped at the thread mark.
+        let session = crate::start(ObsConfig::default());
+        std::thread::spawn(touch_every_kind).join().unwrap();
         assert_eq!(SERVING_ROWS_SCORED.current_value(), 0);
         assert_eq!(DATA_PEAK_DECODED_ROWS.current_value(), 0);
         assert_eq!(SERVING_BATCH_TICKS.observed_count(), 0);
+        // The session's own thread records.
+        touch_every_kind();
+        assert_eq!(SERVING_ROWS_SCORED.current_value(), 10);
+        drop(session.finish());
     }
 
     #[test]

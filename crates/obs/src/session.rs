@@ -4,14 +4,15 @@
 //! Instrumented library code never starts a session — gates, benches,
 //! and tests do, so the library's default cost is one relaxed load per
 //! instrumentation site. A session holds a global lock for its whole
-//! lifetime: concurrent `cargo test` threads serialize instead of
-//! interleaving their captures.
+//! lifetime, so two sessions never overlap: a second [`start`] waits.
+//! The lock does not keep *un-sessioned* work out of a capture — the
+//! thread mark does: only the thread that called [`start`], and workers
+//! running under its [`crate::ThreadMark`], record into the session.
 
-use crate::journal::{lock_poison_free, merge_records, EPOCH, SEQS, SINK};
+use crate::journal::{lock_poison_free, merge_records, SEQS, SINK};
 use crate::metrics::{metrics_snapshot, reset_metrics, MetricsSnapshot};
 use crate::ring::{ring_drain, ring_reset};
-use crate::{set_enabled, Journal, Record};
-use std::sync::atomic::Ordering;
+use crate::{close_epoch, open_epoch, Journal, Record};
 use std::sync::{Mutex, MutexGuard};
 
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
@@ -36,23 +37,23 @@ pub struct Session {
 }
 
 /// Starts an exclusive session: resets the journal sink, sequence map,
-/// flight recorder, and metrics registry, then enables recording.
-/// Blocks while another session (e.g. a parallel test) is active.
+/// flight recorder, and metrics registry, marks the calling thread as the
+/// session's, then enables recording. Blocks while another session (e.g.
+/// a parallel test) is active.
 pub fn start(cfg: ObsConfig) -> Session {
     let guard = lock_poison_free(&SESSION_LOCK);
-    EPOCH.fetch_add(1, Ordering::SeqCst);
     lock_poison_free(&SINK).clear();
     lock_poison_free(&SEQS).clear();
     ring_reset(cfg.ring_capacity);
     reset_metrics();
-    set_enabled(true);
+    open_epoch();
     Session { _guard: guard }
 }
 
 impl Session {
     /// Stops recording and returns everything captured.
     pub fn finish(self) -> Capture {
-        set_enabled(false);
+        close_epoch();
         let records: Vec<Record> = std::mem::take(&mut *lock_poison_free(&SINK));
         lock_poison_free(&SEQS).clear();
         let mut ring = ring_drain();
@@ -69,7 +70,7 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        set_enabled(false);
+        close_epoch();
     }
 }
 

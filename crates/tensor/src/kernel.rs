@@ -29,6 +29,13 @@ thread_local! {
     /// entirely. Workers spawned per call start with an empty arena and
     /// allocate once, exactly as before. Buffers are zero-filled on every
     /// borrow, so reuse is bit-identical to a fresh `vec![0.0; len]`.
+    ///
+    /// Open finding (ROADMAP item 3): because the workers are fresh per
+    /// call, the multi-worker path allocates on every call. A counting
+    /// allocator measured 0 allocations per `matmul_acc` at 1 worker and
+    /// 10 at 2 workers, for both 128×96·96×96 and 512×256·256×256: 8 on
+    /// the calling thread (the scoped spawns and the handle `Vec` in
+    /// `pool::parallel_rows`) and one fresh pack-A arena per worker.
     static PACK_B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static PACK_A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
@@ -69,6 +76,11 @@ const SMALL_FLOP_CUTOFF: usize = 16 * 1024;
 /// threads are spawned per call (tens of microseconds each), so products
 /// are kept serial until each worker's share clearly amortizes that.
 /// Thread count never changes results, only throughput.
+///
+/// The spawn is not the only cost: every fanned-out call also allocates
+/// (10 allocations per call at 2 workers, see the pack-arena note above),
+/// while the 1-worker path allocates nothing. This threshold is picked,
+/// not measured; re-deriving it from measurements is ROADMAP item 3.
 const MIN_FLOPS_PER_THREAD: usize = 256 * 1024;
 
 /// Whether an operand is used as stored or logically transposed.

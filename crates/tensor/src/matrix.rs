@@ -211,7 +211,6 @@ impl Matrix {
             "column index {c} out of bounds for {} columns",
             self.cols
         );
-        // kinet-lint: allow(transitive-allocation) — column copy-out is a cold accessor; on the pipeline hot cone only via a name-collision method edge; runs once at fit time
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
