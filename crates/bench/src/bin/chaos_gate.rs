@@ -17,9 +17,10 @@
 //! A final probe crashes a device under a full-quorum policy and asserts
 //! the run fails with the dedicated quorum-lost exit code.
 //!
-//! The full per-scenario reports are persisted as
-//! `target/experiments/chaos_report.json` **before** the pass/fail
-//! verdict, so a red gate still uploads evidence.
+//! The full per-scenario reports are persisted as `chaos_report.json`,
+//! and the flight recorder as `obs_dump.json`, in the experiments
+//! directory **before** the pass/fail verdict, so a red gate still
+//! uploads evidence.
 //!
 //! ```text
 //! chaos_gate [--quick] [--seed N]
@@ -29,49 +30,19 @@
 //! floors (2-epoch generators are noise); the fault mechanics and the
 //! determinism checks still run. Exit code 1 on any violated assertion.
 
-use kinet_bench::write_json;
+use kinet_bench::gate::{self, Failures, ProbeRecord, QuickArgs, ScenarioRecord, THREAD_COUNTS};
 use kinet_datasets::lab::LabSimulator;
 use kinet_fleet::{
-    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetError, FleetReport, FleetSim,
-    ModelKind, ResilienceConfig, SharingPolicy, UnionConfig, EXIT_QUORUM_LOST,
+    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetReport, FleetSim, ModelKind,
+    ResilienceConfig, SharingPolicy, UnionConfig, EXIT_QUORUM_LOST,
 };
-use kinet_tensor::pool::with_threads;
 use serde::Serialize;
 
 /// Pooled attack recall the committed scenarios must clear (the fault-free
 /// skewed-split union run measures 0.736; README "Chaos testing").
 const RECALL_FLOOR: f64 = 0.6;
 
-/// Thread counts every scenario must fingerprint identically across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-struct Args {
-    quick: bool,
-    seed: u64,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut quick = false;
-        let mut seed = 42u64;
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--quick" => quick = true,
-                "--seed" => {
-                    let v = it.next().ok_or("--seed requires a value")?;
-                    seed = v.parse().map_err(|_| format!("invalid number {v:?}"))?;
-                }
-                "--help" | "-h" => {
-                    println!("usage: chaos_gate [--quick] [--seed N]");
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(Self { quick, seed })
-    }
-}
+const USAGE: &str = "chaos_gate [--quick] [--seed N]";
 
 /// One fault-matrix entry: an injection plus the recovery contract it must
 /// satisfy.
@@ -162,7 +133,7 @@ fn scenarios() -> Vec<Scenario> {
 
 /// The skewed-split fleet the whole matrix runs on: only device 0 observes
 /// attacks (the condition-union recovery scenario from `fleet_demo`).
-fn base_config(args: &Args) -> FleetConfig {
+fn base_config(args: &QuickArgs) -> FleetConfig {
     let (rows, epochs) = if args.quick { (220, 2) } else { (400, 60) };
     FleetConfig {
         n_devices: 4,
@@ -178,34 +149,15 @@ fn base_config(args: &Args) -> FleetConfig {
 }
 
 #[derive(Serialize)]
-struct ScenarioRecord {
-    scenario: String,
-    description: String,
-    thread_counts: Vec<usize>,
-    fingerprints_identical: bool,
-    failures: Vec<String>,
-    report: Option<FleetReport>,
-}
-
-#[derive(Serialize)]
-struct QuorumProbeRecord {
-    description: String,
-    expected_exit_code: i32,
-    actual_exit_code: Option<i32>,
-    error: String,
-    pass: bool,
-}
-
-#[derive(Serialize)]
 struct ChaosReport {
     quick: bool,
     seed: u64,
     recall_floor: f64,
-    scenarios: Vec<ScenarioRecord>,
-    quorum_probe: QuorumProbeRecord,
+    scenarios: Vec<ScenarioRecord<FleetReport>>,
+    quorum_probe: ProbeRecord,
 }
 
-fn run_scenario(args: &Args, sc: &Scenario) -> ScenarioRecord {
+fn run_scenario(args: &QuickArgs, sc: &Scenario) -> ScenarioRecord<FleetReport> {
     let mut cfg = base_config(args);
     cfg.fault = sc.fault.clone();
     cfg.resilience = sc.resilience.clone();
@@ -215,36 +167,16 @@ fn run_scenario(args: &Args, sc: &Scenario) -> ScenarioRecord {
         // so only the non-finite quarantine path stays armed.
         cfg.resilience.min_share_validity = 0.0;
     }
-    let mut failures = Vec::new();
-
     // The determinism-under-faults contract: the same round at 1, 2, and 4
     // workers must fingerprint bit-identically, fault plan and all.
-    let mut runs: Vec<(usize, FleetReport)> = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        match with_threads(threads, || FleetSim::new(cfg.clone()).run()) {
-            Ok(report) => runs.push((threads, report)),
-            Err(e) => failures.push(format!("run failed at {threads} thread(s): {e}")),
-        }
-    }
-    let fingerprints_identical = match runs.as_slice() {
-        [] => false,
-        [(_, first), rest @ ..] => {
-            let fp = first.deterministic_fingerprint();
-            let mut same = true;
-            for (threads, other) in rest {
-                if other.deterministic_fingerprint() != fp {
-                    same = false;
-                    failures.push(format!(
-                        "fingerprint diverges between 1 and {threads} thread(s)"
-                    ));
-                }
-            }
-            same
-        }
-    };
-
-    let report = runs.into_iter().next().map(|(_, r)| r);
-    if let Some(report) = &report {
+    let mut record = gate::run_scenario(
+        sc.name,
+        sc.description,
+        || FleetSim::new(cfg.clone()).run(),
+        FleetReport::deterministic_fingerprint,
+    );
+    let failures = &mut record.failures;
+    if let Some(report) = &record.report {
         let f = &report.fault;
         if !f.quorum_met {
             failures.push("committed round reports quorum_met=false".into());
@@ -312,121 +244,67 @@ fn run_scenario(args: &Args, sc: &Scenario) -> ScenarioRecord {
                 }
             }
         }
+        println!(
+            "      recall {:.3}, {}/{} reported, {} retries, {} quarantined, {} degraded, \
+             {} ticks, fingerprints identical across {:?}: {}",
+            report.attack_recall,
+            f.devices_reported,
+            report.n_devices,
+            f.retries,
+            f.quarantined.len(),
+            f.degraded.len(),
+            f.virtual_ticks,
+            THREAD_COUNTS,
+            record.fingerprints_identical,
+        );
     }
-
-    ScenarioRecord {
-        scenario: sc.name.to_string(),
-        description: sc.description.to_string(),
-        thread_counts: THREAD_COUNTS.to_vec(),
-        fingerprints_identical,
-        failures,
-        report,
-    }
+    record
 }
 
 /// Crashing a device under a full-quorum policy must fail the round with
 /// the dedicated exit code — a lost quorum is an operator page, not a 1.
-fn quorum_probe(args: &Args) -> QuorumProbeRecord {
+fn quorum_probe(args: &QuickArgs) -> ProbeRecord {
+    println!("[quorum-loss-probe] dead device under full quorum");
     let mut cfg = base_config(args);
     // Raw sharing: the probe is about the quorum verdict, not training.
     cfg.policy = SharingPolicy::Raw;
     cfg.union = UnionConfig::default();
     cfg.fault = FaultConfig::scripted(vec![DeviceFaultSpec::permanent(1, FaultKind::CrashAcquire)]);
     cfg.resilience = ResilienceConfig::default(); // quorum_frac 1.0
-    let (actual, error, pass) = match FleetSim::new(cfg).run() {
-        Ok(_) => (
-            None,
-            "round committed despite a dead device".to_string(),
-            false,
-        ),
-        Err(e @ FleetError::QuorumLost { .. }) => (
-            Some(e.exit_code()),
-            e.to_string(),
-            e.exit_code() == EXIT_QUORUM_LOST,
-        ),
-        Err(e) => (
-            Some(e.exit_code()),
-            format!("wrong error class: {e}"),
-            false,
-        ),
-    };
-    QuorumProbeRecord {
-        description: "permanent crash under quorum_frac=1.0 must exit with the quorum-lost code"
-            .to_string(),
-        expected_exit_code: EXIT_QUORUM_LOST,
-        actual_exit_code: actual,
-        error,
-        pass,
-    }
+    gate::exit_code_probe(
+        "permanent crash under quorum_frac=1.0 must exit with the quorum-lost code",
+        EXIT_QUORUM_LOST,
+        FleetSim::new(cfg).run(),
+        "round committed despite a dead device",
+    )
 }
 
 fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("chaos_gate: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "chaos_gate — fault-matrix recovery floors{}\n",
-        if args.quick { " (quick mode)" } else { "" }
-    );
+    let args = gate::quick_args(USAGE, "fault-matrix recovery floors");
 
     let session = kinet_obs::start(kinet_obs::ObsConfig::default());
-    let mut records = Vec::new();
-    for sc in scenarios() {
-        println!("[{}] {}", sc.name, sc.description);
-        let record = run_scenario(&args, &sc);
-        if let Some(report) = &record.report {
-            println!(
-                "      recall {:.3}, {}/{} reported, {} retries, {} quarantined, {} degraded, \
-                 {} ticks, fingerprints identical across {:?}: {}",
-                report.attack_recall,
-                report.fault.devices_reported,
-                report.n_devices,
-                report.fault.retries,
-                report.fault.quarantined.len(),
-                report.fault.degraded.len(),
-                report.fault.virtual_ticks,
-                THREAD_COUNTS,
-                record.fingerprints_identical,
-            );
-        }
-        for f in &record.failures {
-            eprintln!("      FAIL: {f}");
-        }
-        records.push(record);
-    }
-
-    println!("[quorum-loss-probe] dead device under full quorum");
+    let records: Vec<_> = scenarios()
+        .iter()
+        .map(|sc| run_scenario(&args, sc))
+        .collect();
     let probe = quorum_probe(&args);
-    println!(
-        "      exit code {:?} (expected {}): {}",
-        probe.actual_exit_code, probe.expected_exit_code, probe.error
-    );
+    let capture = session.finish();
+    println!("{}", capture.journal.phase_summary());
 
-    let failed = records.iter().any(|r| !r.failures.is_empty()) || !probe.pass;
-    kinet_bench::obs_wrapup(&session.finish(), failed);
-    let chaos = ChaosReport {
+    let mut failures = Failures::default();
+    records.iter().for_each(|r| failures.extend_scenario(r));
+    if !probe.pass {
+        failures.push(format!("[quorum-loss-probe] {}", probe.error));
+    }
+    let report = ChaosReport {
         quick: args.quick,
         seed: args.seed,
         recall_floor: RECALL_FLOOR,
         scenarios: records,
         quorum_probe: probe,
     };
-    // Evidence before verdict: a red gate still uploads its report.
-    match write_json("chaos_report", &chaos) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => {
-            eprintln!("chaos_gate FAIL: could not write chaos_report.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if failed {
-        eprintln!("chaos_gate: fault-matrix floors violated");
-        std::process::exit(1);
-    }
-    println!("chaos_gate: all fault-matrix floors hold");
+    println!();
+    gate::write_evidence(&mut failures, "chaos_report", &report);
+    gate::write_flight_recorder(&mut failures, Some(&capture));
+    gate::conclude("chaos_gate", &failures, "all fault-matrix floors hold");
 }

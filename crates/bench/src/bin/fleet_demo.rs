@@ -9,8 +9,9 @@
 //!    seed — union off, union on — asserting the protocol strictly
 //!    improves pooled attack recall.
 //!
-//! Both reports are persisted as `target/experiments/fleet_report.json`;
-//! the file must round-trip through the vendored JSON deserializer (also
+//! Both reports are persisted as `fleet_report.json` in the experiments
+//! directory (the flight recorder next to them as `obs_dump.json`); the
+//! file must round-trip through the vendored JSON deserializer (also
 //! asserted), and when a previous snapshot exists a delta is printed.
 //!
 //! ```text
@@ -28,35 +29,15 @@
 //! [`kinet_fleet::FleetError`] code (2 config-invalid, 3 quorum-lost,
 //! 4 internal, 5 membership-collapse).
 
-use kinet_bench::write_json;
+use kinet_bench::gate::{self, Failures};
 use kinet_fleet::{
     DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetReport, FleetService, FleetSim,
     MemStorage, ModelKind, RoundVerdict, ServiceConfig, ServingConfig, SharingPolicy,
     SnapshotStore, UnionConfig,
 };
 
-/// Collected assertion failures plus the process exit code to use: floor
-/// breaks keep 1, a typed fleet-run error escalates to its own code.
-#[derive(Default)]
-struct Failures {
-    msgs: Vec<String>,
-    run_error_code: Option<i32>,
-}
-
-impl Failures {
-    fn push(&mut self, msg: String) {
-        self.msgs.push(msg);
-    }
-
-    fn push_run_error(&mut self, context: &str, e: &kinet_fleet::FleetError) {
-        self.msgs.push(format!("{context}: {e}"));
-        self.run_error_code.get_or_insert(e.exit_code());
-    }
-
-    fn exit_code(&self) -> i32 {
-        self.run_error_code.unwrap_or(1)
-    }
-}
+const USAGE: &str = "fleet_demo [--quick] [--serve] [--trace] [--devices N] [--rows N] \
+                     [--chunk N] [--window N] [--seed N]";
 
 struct Args {
     quick: bool,
@@ -67,56 +48,6 @@ struct Args {
     chunk: usize,
     window: usize,
     seed: u64,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut quick = false;
-        let mut serve = false;
-        let mut trace = false;
-        let mut devices = None;
-        let mut rows = None;
-        let mut chunk = None;
-        let mut window = None;
-        let mut seed = 42u64;
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value =
-                |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-            match flag.as_str() {
-                "--quick" => quick = true,
-                "--serve" => serve = true,
-                "--trace" => trace = true,
-                "--devices" => devices = Some(parse_num(&value("--devices")?)?),
-                "--rows" => rows = Some(parse_num(&value("--rows")?)?),
-                "--chunk" => chunk = Some(parse_num(&value("--chunk")?)?),
-                "--window" => window = Some(parse_num(&value("--window")?)?),
-                "--seed" => seed = parse_num(&value("--seed")?)?,
-                "--help" | "-h" => {
-                    println!(
-                        "usage: fleet_demo [--quick] [--serve] [--trace] [--devices N] [--rows N] \
-                         [--chunk N] [--window N] [--seed N]"
-                    );
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(Self {
-            quick,
-            serve,
-            trace,
-            devices: devices.unwrap_or(if quick { 8 } else { 32 }),
-            rows: rows.unwrap_or(if quick { 1_000 } else { 5_000 }),
-            chunk: chunk.unwrap_or(1_024),
-            window: window.unwrap_or(256),
-            seed,
-        })
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid number {s:?}"))
 }
 
 /// Act 1: the streaming scale run.
@@ -314,21 +245,6 @@ fn serve_demo(args: &Args, failures: &mut Failures) {
     }
 }
 
-/// Reloads the previous snapshot for the delta print.
-fn previous_reports() -> Vec<FleetReport> {
-    let path = kinet_bench::gate::fresh_dir().join("fleet_report.json");
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    match serde_json::from_str(&text) {
-        Ok(reports) => reports,
-        Err(e) => {
-            eprintln!("fleet_demo: previous snapshot unreadable ({e}); skipping delta");
-            Vec::new()
-        }
-    }
-}
-
 fn print_deltas(previous: &[FleetReport], fresh: &[FleetReport]) {
     for report in fresh {
         // Match on the full deterministic identity of a run line.
@@ -354,21 +270,28 @@ fn print_deltas(previous: &[FleetReport], fresh: &[FleetReport]) {
 }
 
 fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("fleet_demo: {e}");
-            std::process::exit(1);
-        }
-    };
+    let args = gate::parse_args(USAGE, |f| {
+        let quick = f.switch("--quick");
+        Ok(Args {
+            quick,
+            serve: f.switch("--serve"),
+            trace: f.switch("--trace"),
+            devices: f.num("--devices", if quick { 8 } else { 32 })?,
+            rows: f.num("--rows", if quick { 1_000 } else { 5_000 })?,
+            chunk: f.num("--chunk", 1_024)?,
+            window: f.num("--window", 256)?,
+            seed: f.num("--seed", 42)?,
+        })
+    });
     println!(
         "fleet_demo — kinet_fleet subsystem demonstration{}\n",
         if args.quick { " (quick mode)" } else { "" }
     );
-    let previous = previous_reports();
+    let previous: Vec<FleetReport> =
+        gate::previous_snapshot("fleet_demo", "fleet_report").unwrap_or_default();
     // Recording is always on (the acts are training-dominated; journal
-    // appends are noise): `--trace` prints the per-phase summary, and any
-    // failing exit dumps the flight recorder for the CI artifact.
+    // appends are noise): `--trace` prints the per-phase summary, and the
+    // flight recorder is dumped for the CI artifact on every run.
     let session = kinet_obs::start(kinet_obs::ObsConfig::default());
     let mut failures = Failures::default();
     let mut reports = Vec::new();
@@ -383,39 +306,28 @@ fn main() {
 
     // Persist, then prove the snapshot round-trips through the shim
     // deserializer — the property the delta printing above relies on.
-    match write_json("fleet_report", &reports) {
-        Ok(path) => {
-            println!("wrote {}", path.display());
-            let text = std::fs::read_to_string(&path).unwrap_or_default();
-            match serde_json::from_str::<Vec<FleetReport>>(&text) {
-                Ok(back) => {
-                    let same = back.len() == reports.len()
-                        && back.iter().zip(&reports).all(|(b, r)| {
-                            b.deterministic_fingerprint() == r.deterministic_fingerprint()
-                        });
-                    if same {
-                        println!("snapshot round-trips through the JSON deserializer");
-                    } else {
-                        failures.push("snapshot round-trip changed report contents".into());
-                    }
+    if let Some(path) = gate::write_evidence(&mut failures, "fleet_report", &reports) {
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        match serde_json::from_str::<Vec<FleetReport>>(&text) {
+            Ok(back) => {
+                let same = back.len() == reports.len()
+                    && back.iter().zip(&reports).all(|(b, r)| {
+                        b.deterministic_fingerprint() == r.deterministic_fingerprint()
+                    });
+                if same {
+                    println!("snapshot round-trips through the JSON deserializer");
+                } else {
+                    failures.push("snapshot round-trip changed report contents".into());
                 }
-                Err(e) => failures.push(format!("snapshot does not deserialize: {e}")),
             }
+            Err(e) => failures.push(format!("snapshot does not deserialize: {e}")),
         }
-        Err(e) => failures.push(format!("could not write fleet_report.json: {e}")),
     }
 
     let capture = session.finish();
     if args.trace || !failures.msgs.is_empty() {
-        kinet_bench::obs_wrapup(&capture, !failures.msgs.is_empty());
+        println!("{}", capture.journal.phase_summary());
     }
-
-    if failures.msgs.is_empty() {
-        println!("fleet_demo: all assertions hold");
-    } else {
-        for f in &failures.msgs {
-            eprintln!("fleet_demo FAIL: {f}");
-        }
-        std::process::exit(failures.exit_code());
-    }
+    gate::write_flight_recorder(&mut failures, Some(&capture));
+    gate::conclude("fleet_demo", &failures, "all assertions hold");
 }

@@ -1,9 +1,9 @@
 //! Workspace invariant-lint gate: runs `kinet_lint` (per-file rules plus
 //! the interprocedural call-graph analyses) over every workspace and
-//! `vendor/` source file, persists the full report as
-//! `target/experiments/lint_report.json` and the call-graph summary as
-//! `target/experiments/callgraph.json` (both uploaded by CI whether the
-//! gate passes or not), prints every finding, and exits 1 when any
+//! `vendor/` source file, persists the full report as `lint_report.json`
+//! and the call-graph summary as `callgraph.json` in the experiments
+//! directory (both uploaded by CI whether the gate passes or not),
+//! prints every finding, and exits 1 when any
 //! finding lacks a reasoned suppression (inline `kinet-lint: allow(...)`
 //! or, for panic-path, a `panic_allowlist.txt` entry).
 //!
@@ -14,40 +14,16 @@
 //! `--root` defaults to the workspace root (resolved relative to this
 //! crate's manifest, so the gate works from any working directory).
 
-use kinet_bench::write_json;
+use kinet_bench::gate::{self, Failures};
 use kinet_lint::WorkspaceLint;
 use std::path::PathBuf;
+
+const USAGE: &str = "lint_gate [--root DIR] [--out NAME] [--graph-out NAME]";
 
 struct Args {
     root: PathBuf,
     out: String,
     graph_out: String,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut args = Args {
-            root: PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
-            out: "lint_report".to_string(),
-            graph_out: "callgraph".to_string(),
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value =
-                |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-            match flag.as_str() {
-                "--root" => args.root = PathBuf::from(value("--root")?),
-                "--out" => args.out = value("--out")?,
-                "--graph-out" => args.graph_out = value("--graph-out")?,
-                "--help" | "-h" => {
-                    println!("usage: lint_gate [--root DIR] [--out NAME] [--graph-out NAME]");
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown flag {other}")),
-            }
-        }
-        Ok(args)
-    }
 }
 
 fn run(args: &Args) -> Result<WorkspaceLint, String> {
@@ -59,13 +35,13 @@ fn run(args: &Args) -> Result<WorkspaceLint, String> {
 }
 
 fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("lint_gate: {e}");
-            std::process::exit(1);
-        }
-    };
+    let args = gate::parse_args(USAGE, |f| {
+        Ok(Args {
+            root: PathBuf::from(f.value("--root", concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))),
+            out: f.value("--out", "lint_report"),
+            graph_out: f.value("--graph-out", "callgraph"),
+        })
+    });
     let WorkspaceLint { report, graph } = match run(&args) {
         Ok(r) => r,
         Err(e) => {
@@ -75,20 +51,9 @@ fn main() {
     };
     // Persist both artifacts before deciding pass/fail so CI can always
     // upload them.
-    match write_json(&args.out, &report) {
-        Ok(path) => println!("lint report -> {}", path.display()),
-        Err(e) => {
-            eprintln!("lint_gate: write report: {e}");
-            std::process::exit(1);
-        }
-    }
-    match write_json(&args.graph_out, &graph) {
-        Ok(path) => println!("call graph -> {}", path.display()),
-        Err(e) => {
-            eprintln!("lint_gate: write call graph: {e}");
-            std::process::exit(1);
-        }
-    }
+    let mut failures = Failures::default();
+    gate::write_evidence(&mut failures, &args.out, &report);
+    gate::write_evidence(&mut failures, &args.graph_out, &graph);
     println!(
         "call graph: {} nodes, {} edges, {} ambiguous call site(s), {} unresolved site(s) \
          across {} ledger entrie(s)",
@@ -115,12 +80,11 @@ fn main() {
         println!("  {f}");
     }
     if !report.gate_passes() {
-        eprintln!(
-            "lint_gate: FAIL — {} unsuppressed finding(s); fix the code or add a reasoned \
+        failures.push(format!(
+            "{} unsuppressed finding(s); fix the code or add a reasoned \
              `// kinet-lint: allow(<rule>) — <why>`",
             report.unsuppressed
-        );
-        std::process::exit(1);
+        ));
     }
-    println!("lint_gate: PASS");
+    gate::conclude("lint_gate", &failures, "PASS");
 }

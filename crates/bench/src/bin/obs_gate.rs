@@ -16,8 +16,8 @@
 //!    from the `serving.batch_ticks` histogram, not from timers.
 //! 4. **Flight recorder** — the bounded ring holds the most recent
 //!    records (≤ capacity, never empty after an instrumented round) and
-//!    is dumped to `target/experiments/obs_dump.json` unconditionally,
-//!    so a red gate still uploads its last moments.
+//!    is dumped to `obs_dump.json` in the experiments directory
+//!    unconditionally, so a red gate still uploads its last moments.
 //!
 //! ```text
 //! obs_gate [--quick] [--seed N]
@@ -25,18 +25,14 @@
 //!
 //! Exit code 1 on any violated assertion.
 
-use kinet_bench::write_json;
+use kinet_bench::gate::{self, Failures, QuickArgs, THREAD_COUNTS};
 use kinet_fleet::{
     DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetSim, ModelKind, ResilienceConfig,
     ServingModel, SharingPolicy, UnionConfig,
 };
-use kinet_obs::{snapshot_records, JournalSnapshot, ObsConfig};
-use kinet_tensor::pool::with_threads;
+use kinet_obs::ObsConfig;
 use serde::Serialize;
 use std::time::Instant;
-
-/// Thread counts the journal and metrics must be byte-identical across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Flight-recorder capacity the gate sessions run with.
 const RING_CAPACITY: usize = 256;
@@ -47,38 +43,12 @@ const RING_CAPACITY: usize = 256;
 /// allocation or locking in `score_rows`) on a loaded CI box.
 const SERVING_ROWS_PER_SEC_FLOOR: f64 = 20_000.0;
 
-struct Args {
-    quick: bool,
-    seed: u64,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut quick = false;
-        let mut seed = 42u64;
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--quick" => quick = true,
-                "--seed" => {
-                    let v = it.next().ok_or("--seed requires a value")?;
-                    seed = v.parse().map_err(|_| format!("invalid number {v:?}"))?;
-                }
-                "--help" | "-h" => {
-                    println!("usage: obs_gate [--quick] [--seed N]");
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(Self { quick, seed })
-    }
-}
+const USAGE: &str = "obs_gate [--quick] [--seed N]";
 
 /// The faulted round every determinism check runs: a transient straggler
 /// on device 1 (exercises `fleet.retry`) and a NaN-poisoned share from
 /// device 3 (exercises `fleet.quarantine`).
-fn faulted_config(args: &Args) -> FleetConfig {
+fn faulted_config(args: &QuickArgs) -> FleetConfig {
     let (rows, epochs) = if args.quick { (220, 2) } else { (400, 8) };
     let mut resilience = ResilienceConfig::tolerant();
     if args.quick {
@@ -153,82 +123,63 @@ fn counter_value(metrics: &kinet_obs::metrics::MetricsSnapshot, name: &str) -> u
         .unwrap_or(0)
 }
 
+/// One instrumented run's evidence: its report fingerprint, journal
+/// rendering, metrics snapshot and capture.
+struct Instrumented {
+    fingerprint: String,
+    journal: String,
+    metrics: String,
+    capture: kinet_obs::Capture,
+}
+
 fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("obs_gate: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "obs_gate — deterministic tracing + metrics contracts{}\n",
-        if args.quick { " (quick mode)" } else { "" }
-    );
+    let args = gate::quick_args(USAGE, "deterministic tracing + metrics contracts");
     let cfg = faulted_config(&args);
-    let mut failures: Vec<String> = Vec::new();
+    let mut failures = Failures::default();
 
     // ---- contract 1: journal + metrics byte-identical across threads ----
-    let mut runs = Vec::new();
-    let mut captures: Vec<(usize, String, String, String)> = Vec::new();
-    let mut last_ring: Vec<kinet_obs::Record> = Vec::new();
-    let mut phase_summary = String::new();
-    for &threads in &THREAD_COUNTS {
+    let captures = gate::run_at_thread_counts(&mut failures.msgs, || {
         let session = kinet_obs::start(ObsConfig {
             ring_capacity: RING_CAPACITY,
         });
-        let outcome = with_threads(threads, || FleetSim::new(cfg.clone()).run());
+        let outcome = FleetSim::new(cfg.clone()).run();
         let capture = session.finish();
-        let report = match outcome {
-            Ok(r) => r,
-            Err(e) => {
-                failures.push(format!(
-                    "instrumented round failed at {threads} thread(s): {e}"
-                ));
-                continue;
+        let report = outcome?;
+        Ok::<_, kinet_fleet::FleetError>(Instrumented {
+            fingerprint: report.deterministic_fingerprint(),
+            journal: capture.journal.render(),
+            metrics: capture.metrics.to_json_value().to_json_string(),
+            capture,
+        })
+    });
+    let runs: Vec<ThreadRun> = captures
+        .iter()
+        .map(|(threads, run)| {
+            let capture = &run.capture;
+            println!("[threads={threads}] {}", capture.journal.phase_summary());
+            ThreadRun {
+                threads: *threads,
+                fingerprint: run.fingerprint.clone(),
+                journal_records: capture.journal.records().len(),
+                journal_bytes: run.journal.len(),
+                metrics_bytes: run.metrics.len(),
+                retries: counter_value(&capture.metrics, "fleet.retries"),
+                quarantines: counter_value(&capture.metrics, "fleet.quarantines"),
             }
-        };
-        let journal_text = capture.journal.render();
-        let metrics_text = match serde_json::to_string(&capture.metrics) {
-            Ok(t) => t,
-            Err(e) => {
-                failures.push(format!("metrics snapshot failed to serialize: {e}"));
-                String::new()
-            }
-        };
-        let fingerprint = report.deterministic_fingerprint();
-        phase_summary = capture.journal.phase_summary();
-        println!("[threads={threads}] {phase_summary}");
-        runs.push(ThreadRun {
-            threads,
-            fingerprint: fingerprint.clone(),
-            journal_records: capture.journal.records().len(),
-            journal_bytes: journal_text.len(),
-            metrics_bytes: metrics_text.len(),
-            retries: counter_value(&capture.metrics, "fleet.retries"),
-            quarantines: counter_value(&capture.metrics, "fleet.quarantines"),
-        });
-        last_ring = capture.ring;
-        captures.push((threads, journal_text, metrics_text, fingerprint));
-    }
-    let mut journal_identical = !captures.is_empty();
-    let mut metrics_identical = !captures.is_empty();
-    if let [(_, first_journal, first_metrics, _), rest @ ..] = captures.as_slice() {
-        for (threads, journal, metrics, _) in rest {
-            if journal != first_journal {
-                journal_identical = false;
-                failures.push(format!(
-                    "journal bytes diverge between 1 and {threads} thread(s)"
-                ));
-            }
-            if metrics != first_metrics {
-                metrics_identical = false;
-                failures.push(format!(
-                    "metrics bytes diverge between 1 and {threads} thread(s)"
-                ));
-            }
-        }
-    }
+        })
+        .collect();
+    let journal_identical = gate::compare_across_threads(
+        &captures,
+        "journal rendering",
+        |r| r.journal.clone(),
+        &mut failures.msgs,
+    );
+    let metrics_identical = gate::compare_across_threads(
+        &captures,
+        "metrics snapshot",
+        |r| r.metrics.clone(),
+        &mut failures.msgs,
+    );
     if let Some(run) = runs.first() {
         if run.journal_records == 0 {
             failures.push("instrumented faulted round produced an empty journal".into());
@@ -244,9 +195,9 @@ fn main() {
     // ---- contract 2: obs is invisible to the round fingerprint ----
     // No session active: every instrumentation site takes the one-relaxed-
     // load disabled path. The round must not notice the difference.
-    let fingerprint_obs_on = captures
+    let fingerprint_obs_on = runs
         .first()
-        .map(|(_, _, _, fp)| fp.clone())
+        .map(|r| r.fingerprint.clone())
         .unwrap_or_default();
     let fingerprint_obs_off = match FleetSim::new(cfg.clone()).run() {
         Ok(r) => r.deterministic_fingerprint(),
@@ -263,7 +214,8 @@ fn main() {
 
     // ---- contract 4 (checked before 3 so the dump reflects the round):
     // the flight recorder is bounded and non-empty.
-    let ring_len = last_ring.len();
+    let last_capture = captures.last().map(|(_, run)| &run.capture);
+    let ring_len = last_capture.map_or(0, |c| c.ring.len());
     if ring_len == 0 && !captures.is_empty() {
         failures.push("flight recorder is empty after an instrumented round".into());
     }
@@ -277,11 +229,8 @@ fn main() {
     let serving = run_serving_probe(&args, &cfg, &mut failures);
 
     // Evidence before verdict: both artifacts are written even when red.
-    let dump: JournalSnapshot = snapshot_records(&last_ring);
-    match write_json("obs_dump", &dump) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => failures.push(format!("could not write obs_dump.json: {e}")),
-    }
+    println!();
+    gate::write_flight_recorder(&mut failures, last_capture);
     let report = ObsReport {
         quick: args.quick,
         seed: args.seed,
@@ -293,27 +242,19 @@ fn main() {
         obs_invisible_to_fingerprint,
         ring_capacity: RING_CAPACITY,
         ring_len,
-        phase_summary,
+        phase_summary: last_capture
+            .map(|c| c.journal.phase_summary())
+            .unwrap_or_default(),
         serving,
         runs,
-        failures: failures.clone(),
+        failures: failures.msgs.clone(),
     };
-    match write_json("obs_report", &report) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("obs_gate FAIL: could not write obs_report.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        eprintln!("obs_gate: observability contracts violated");
-        std::process::exit(1);
-    }
-    println!("obs_gate: journal deterministic, fingerprints untouched, serving floor holds");
+    gate::write_evidence(&mut failures, "obs_report", &report);
+    gate::conclude(
+        "obs_gate",
+        &failures,
+        "journal deterministic, fingerprints untouched, serving floor holds",
+    );
 }
 
 /// Trains a serving model on the faulted round's committed pool, then
@@ -321,9 +262,9 @@ fn main() {
 /// (this is `crates/bench`, the sanctioned timing module), latency
 /// quantiles come from the deterministic synthetic-tick histogram.
 fn run_serving_probe(
-    args: &Args,
+    args: &QuickArgs,
     cfg: &FleetConfig,
-    failures: &mut Vec<String>,
+    failures: &mut Failures,
 ) -> Option<ServingProbe> {
     use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 

@@ -17,9 +17,11 @@
 //! floor and asserts the service dies with the dedicated
 //! membership-collapse exit code (5).
 //!
-//! The full per-scenario reports are persisted as
-//! `target/experiments/service_report.json` **before** the pass/fail
-//! verdict, so a red gate still uploads evidence.
+//! The full per-scenario reports are persisted as `service_report.json`,
+//! and the flight recorder of the journal-checked scenario as
+//! `obs_dump.json` (empty when that scenario produced no capture), in
+//! the experiments directory **before** the pass/fail verdict, so a red
+//! gate still uploads evidence.
 //!
 //! ```text
 //! service_gate [--quick] [--seed N]
@@ -30,7 +32,7 @@
 //! and serving mechanics still run. Exit code 1 on any violated
 //! assertion.
 
-use kinet_bench::write_json;
+use kinet_bench::gate::{self, Failures, ProbeRecord, QuickArgs, ScenarioRecord, THREAD_COUNTS};
 use kinet_fleet::{
     ChurnConfig, DeviceFaultSpec, FaultConfig, FaultKind, FaultStorage, FleetConfig, FleetError,
     FleetService, MemStorage, ModelKind, RoundVerdict, ServiceConfig, ServiceReport, ServingConfig,
@@ -44,36 +46,7 @@ use serde::Serialize;
 /// (same floor as `chaos_gate`).
 const RECALL_FLOOR: f64 = 0.6;
 
-/// Thread counts every scenario must fingerprint identically across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-struct Args {
-    quick: bool,
-    seed: u64,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut quick = false;
-        let mut seed = 42u64;
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--quick" => quick = true,
-                "--seed" => {
-                    let v = it.next().ok_or("--seed requires a value")?;
-                    seed = v.parse().map_err(|_| format!("invalid number {v:?}"))?;
-                }
-                "--help" | "-h" => {
-                    println!("usage: service_gate [--quick] [--seed N]");
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(Self { quick, seed })
-    }
-}
+const USAGE: &str = "service_gate [--quick] [--seed N]";
 
 /// One matrix entry: a service configuration, a storage-fault plan, how
 /// many times to run the service against the *same* store (a restart per
@@ -81,17 +54,17 @@ impl Args {
 struct Scenario {
     name: &'static str,
     description: &'static str,
-    config: fn(&Args) -> ServiceConfig,
+    config: fn(&QuickArgs) -> ServiceConfig,
     storage_faults: Vec<StorageFaultSpec>,
     runs: usize,
-    check: fn(&Args, &ServiceReport, &mut Vec<String>),
+    check: fn(&QuickArgs, &ServiceReport, &mut Vec<String>),
     /// Journal assertions, run against one extra instrumented execution
     /// (`None` skips the extra run).
     journal_check: Option<fn(&kinet_obs::Journal, &mut Vec<String>)>,
 }
 
 /// The small raw-sharing fleet most mechanics scenarios run on.
-fn raw_fleet(args: &Args) -> FleetConfig {
+fn raw_fleet(args: &QuickArgs) -> FleetConfig {
     FleetConfig {
         n_devices: 2,
         rows_per_device: 250,
@@ -362,127 +335,78 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 #[derive(Serialize)]
-struct ScenarioRecord {
-    scenario: String,
-    description: String,
-    thread_counts: Vec<usize>,
-    fingerprints_identical: bool,
-    failures: Vec<String>,
-    report: Option<ServiceReport>,
-}
-
-#[derive(Serialize)]
-struct CollapseProbeRecord {
-    description: String,
-    expected_exit_code: i32,
-    actual_exit_code: Option<i32>,
-    error: String,
-    pass: bool,
-}
-
-#[derive(Serialize)]
 struct ServiceGateReport {
     quick: bool,
     seed: u64,
     recall_floor: f64,
-    scenarios: Vec<ScenarioRecord>,
-    collapse_probe: CollapseProbeRecord,
+    scenarios: Vec<ScenarioRecord<ServiceReport>>,
+    collapse_probe: ProbeRecord,
 }
 
-/// Runs one scenario's full restart sequence on a fresh faulted store,
-/// once per thread count, and cross-checks the final fingerprints. When
-/// the scenario carries a `journal_check`, one extra instrumented
-/// execution captures the journal for it (sessions are exclusive, so
-/// this cannot run inside the thread-count loop shared with other
-/// scenarios' futures — it runs serially here).
-fn run_scenario(args: &Args, sc: &Scenario) -> (ScenarioRecord, Option<kinet_obs::Capture>) {
-    let cfg = (sc.config)(args);
-    let mut failures = Vec::new();
-    let mut runs: Vec<(usize, ServiceReport)> = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let outcome = with_threads(threads, || {
-            let mut store = SnapshotStore::new(Box::new(FaultStorage::new(
-                MemStorage::new(),
-                sc.storage_faults.clone(),
-            )));
-            let service = FleetService::new(cfg.clone());
-            let mut last = None;
-            for _ in 0..sc.runs {
-                last = Some(service.run(&mut store)?);
-            }
-            last.ok_or_else(|| FleetError::Internal("scenario ran zero times".into()))
-        });
-        match outcome {
-            Ok(report) => runs.push((threads, report)),
-            Err(e) => failures.push(format!("run failed at {threads} thread(s): {e}")),
-        }
+/// Runs the scenario's full restart sequence on a fresh faulted store.
+fn run_service(args: &QuickArgs, sc: &Scenario) -> Result<ServiceReport, FleetError> {
+    let mut store = SnapshotStore::new(Box::new(FaultStorage::new(
+        MemStorage::new(),
+        sc.storage_faults.clone(),
+    )));
+    let service = FleetService::new((sc.config)(args));
+    let mut last = None;
+    for _ in 0..sc.runs {
+        last = Some(service.run(&mut store)?);
     }
-    let fingerprints_identical = match runs.as_slice() {
-        [] => false,
-        [(_, first), rest @ ..] => {
-            let fp = first.deterministic_fingerprint();
-            let mut same = true;
-            for (threads, other) in rest {
-                if other.deterministic_fingerprint() != fp {
-                    same = false;
-                    failures.push(format!(
-                        "fingerprint diverges between 1 and {threads} thread(s)"
-                    ));
-                }
-            }
-            same
-        }
-    };
-    let report = runs.into_iter().next().map(|(_, r)| r);
-    if let Some(report) = &report {
-        (sc.check)(args, report, &mut failures);
-    }
+    last.ok_or_else(|| FleetError::Internal("scenario ran zero times".into()))
+}
+
+/// Runs one scenario once per thread count and cross-checks the final
+/// fingerprints. When the scenario carries a `journal_check`, one extra
+/// instrumented execution captures the journal for it (sessions are
+/// exclusive, so it runs serially after the thread-count runs).
+fn run_scenario(
+    args: &QuickArgs,
+    sc: &Scenario,
+) -> (ScenarioRecord<ServiceReport>, Option<kinet_obs::Capture>) {
+    let mut record = gate::run_scenario(
+        sc.name,
+        sc.description,
+        || run_service(args, sc),
+        ServiceReport::deterministic_fingerprint,
+    );
     let mut capture = None;
-    if let (Some(jc), Some(report)) = (sc.journal_check, &report) {
-        let session = kinet_obs::start(kinet_obs::ObsConfig::default());
-        let outcome = with_threads(1, || {
-            let mut store = SnapshotStore::new(Box::new(FaultStorage::new(
-                MemStorage::new(),
-                sc.storage_faults.clone(),
-            )));
-            let cfg = (sc.config)(args);
-            let service = FleetService::new(cfg);
-            let mut last = None;
-            for _ in 0..sc.runs {
-                last = Some(service.run(&mut store)?);
-            }
-            last.ok_or_else(|| FleetError::Internal("scenario ran zero times".into()))
-        });
-        let cap = session.finish();
-        match outcome {
-            Ok(instrumented) => {
-                if instrumented.deterministic_fingerprint() != report.deterministic_fingerprint() {
-                    failures
-                        .push("instrumented re-run diverges from the uninstrumented report".into());
+    if let Some(report) = &record.report {
+        let failures = &mut record.failures;
+        (sc.check)(args, report, failures);
+        if let Some(jc) = sc.journal_check {
+            let session = kinet_obs::start(kinet_obs::ObsConfig::default());
+            let outcome = with_threads(1, || run_service(args, sc));
+            let cap = session.finish();
+            match outcome {
+                Ok(instrumented) => {
+                    if instrumented.deterministic_fingerprint()
+                        != report.deterministic_fingerprint()
+                    {
+                        failures.push(
+                            "instrumented re-run diverges from the uninstrumented report".into(),
+                        );
+                    }
+                    jc(&cap.journal, failures);
                 }
-                jc(&cap.journal, &mut failures);
+                Err(e) => failures.push(format!("instrumented re-run failed: {e}")),
             }
-            Err(e) => failures.push(format!("instrumented re-run failed: {e}")),
+            capture = Some(cap);
         }
-        capture = Some(cap);
+        println!(
+            "      {report}\n      fingerprints identical across {:?}: {}",
+            THREAD_COUNTS, record.fingerprints_identical,
+        );
     }
-    (
-        ScenarioRecord {
-            scenario: sc.name.to_string(),
-            description: sc.description.to_string(),
-            thread_counts: THREAD_COUNTS.to_vec(),
-            fingerprints_identical,
-            failures,
-            report,
-        },
-        capture,
-    )
+    (record, capture)
 }
 
 /// Scripting the whole fleet away below the membership floor must kill
 /// the service with the dedicated exit code — a collapsed fleet is an
 /// operator page, not a 1.
-fn collapse_probe(args: &Args) -> CollapseProbeRecord {
+fn collapse_probe(args: &QuickArgs) -> ProbeRecord {
+    println!("[membership-collapse-probe] the whole fleet leaves at round 1");
     let cfg = ServiceConfig {
         fleet: raw_fleet(args),
         rounds: 3,
@@ -495,97 +419,47 @@ fn collapse_probe(args: &Args) -> CollapseProbeRecord {
         ..ServiceConfig::default()
     };
     let mut store = SnapshotStore::new(Box::new(MemStorage::new()));
-    let (actual, error, pass) = match FleetService::new(cfg).run(&mut store) {
-        Ok(_) => (
-            None,
-            "service kept scheduling rounds below the membership floor".to_string(),
-            false,
-        ),
-        Err(e @ FleetError::MembershipCollapse { .. }) => (
-            Some(e.exit_code()),
-            e.to_string(),
-            e.exit_code() == EXIT_MEMBERSHIP_COLLAPSE,
-        ),
-        Err(e) => (
-            Some(e.exit_code()),
-            format!("wrong error class: {e}"),
-            false,
-        ),
-    };
-    CollapseProbeRecord {
-        description: "scripted leaves below min_members must exit with the \
-                      membership-collapse code"
-            .to_string(),
-        expected_exit_code: EXIT_MEMBERSHIP_COLLAPSE,
-        actual_exit_code: actual,
-        error,
-        pass,
-    }
+    gate::exit_code_probe(
+        "scripted leaves below min_members must exit with the membership-collapse code",
+        EXIT_MEMBERSHIP_COLLAPSE,
+        FleetService::new(cfg).run(&mut store),
+        "service kept scheduling rounds below the membership floor",
+    )
 }
 
 fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("service_gate: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "service_gate — resident fleet service contracts{}\n",
-        if args.quick { " (quick mode)" } else { "" }
-    );
+    let args = gate::quick_args(USAGE, "resident fleet service contracts");
 
     let mut records = Vec::new();
     let mut last_capture = None;
     for sc in scenarios() {
-        println!("[{}] {}", sc.name, sc.description);
         let (record, capture) = run_scenario(&args, &sc);
-        if capture.is_some() {
-            last_capture = capture;
-        }
-        if let Some(report) = &record.report {
-            println!(
-                "      {report}\n      fingerprints identical across {:?}: {}",
-                THREAD_COUNTS, record.fingerprints_identical,
-            );
-        }
-        for f in &record.failures {
-            eprintln!("      FAIL: {f}");
-        }
+        last_capture = capture.or(last_capture);
         records.push(record);
     }
-
-    println!("[membership-collapse-probe] the whole fleet leaves at round 1");
     let probe = collapse_probe(&args);
-    println!(
-        "      exit code {:?} (expected {}): {}",
-        probe.actual_exit_code, probe.expected_exit_code, probe.error
-    );
-
-    let failed = records.iter().any(|r| !r.failures.is_empty()) || !probe.pass;
     if let Some(capture) = &last_capture {
-        kinet_bench::obs_wrapup(capture, failed);
+        println!("{}", capture.journal.phase_summary());
     }
-    let gate = ServiceGateReport {
+
+    let mut failures = Failures::default();
+    records.iter().for_each(|r| failures.extend_scenario(r));
+    if !probe.pass {
+        failures.push(format!("[membership-collapse-probe] {}", probe.error));
+    }
+    let report = ServiceGateReport {
         quick: args.quick,
         seed: args.seed,
         recall_floor: RECALL_FLOOR,
         scenarios: records,
         collapse_probe: probe,
     };
-    // Evidence before verdict: a red gate still uploads its report.
-    match write_json("service_report", &gate) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => {
-            eprintln!("service_gate FAIL: could not write service_report.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if failed {
-        eprintln!("service_gate: resident-service contracts violated");
-        std::process::exit(1);
-    }
-    println!("service_gate: all resident-service contracts hold");
+    println!();
+    gate::write_evidence(&mut failures, "service_report", &report);
+    gate::write_flight_recorder(&mut failures, last_capture.as_ref());
+    gate::conclude(
+        "service_gate",
+        &failures,
+        "all resident-service contracts hold",
+    );
 }

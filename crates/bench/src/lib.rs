@@ -211,32 +211,19 @@ pub fn fit_and_release(
     named.model.sample(train.n_rows(), seed)
 }
 
-/// Writes an experiment result as JSON under `target/experiments/`.
+/// Writes an experiment result as `<id>.json` under
+/// [`gate::fresh_dir`] (`KINET_EXPERIMENTS_DIR` or the workspace's
+/// `target/experiments`), whatever the working directory.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
 pub fn write_json<T: Serialize>(id: &str, value: &T) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/experiments");
+    let dir = gate::fresh_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{id}.json"));
     std::fs::write(&path, serde_json::to_string_pretty(value)?)?;
     Ok(path)
-}
-
-/// Gate-binary wrap-up for a finished observability capture: prints the
-/// one-line per-phase tick/row summary and, when the caller is about to
-/// exit non-zero, dumps the flight recorder to
-/// `target/experiments/obs_dump.json` so CI uploads the last moments of
-/// the failed run.
-pub fn obs_wrapup(capture: &kinet_obs::Capture, failed: bool) {
-    println!("{}", capture.journal.phase_summary());
-    if failed {
-        match write_json("obs_dump", &kinet_obs::snapshot_records(&capture.ring)) {
-            Ok(path) => eprintln!("flight recorder dumped to {}", path.display()),
-            Err(e) => eprintln!("could not write obs_dump.json: {e}"),
-        }
-    }
 }
 
 /// One row of Table I.

@@ -82,3 +82,30 @@ fn exits_zero_on_the_committed_workspace() {
         "the serving roots must reach into the tree"
     );
 }
+
+#[test]
+fn artifacts_follow_the_experiments_dir_not_the_working_directory() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../lint/tests/fixtures/tree");
+    let scratch = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint_gate_experiments_dir");
+    let experiments = scratch.join("experiments");
+    let elsewhere = scratch.join("cwd");
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&elsewhere).expect("create working directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_lint_gate"))
+        .current_dir(&elsewhere)
+        .env("KINET_EXPERIMENTS_DIR", &experiments)
+        .args(["--root", fixture.to_str().unwrap()])
+        .output()
+        .expect("lint_gate runs");
+    assert!(!out.status.success(), "violations must fail the gate");
+    for artifact in ["lint_report.json", "callgraph.json"] {
+        assert!(
+            experiments.join(artifact).is_file(),
+            "{artifact} must land in KINET_EXPERIMENTS_DIR"
+        );
+    }
+    assert!(
+        !elsewhere.join("target").exists(),
+        "nothing may be written relative to the working directory"
+    );
+}

@@ -1,12 +1,11 @@
-//! The interned training batch pipeline: knowledge-infusion without
-//! strings.
+//! The training batch pipeline: knowledge infusion without strings.
 //!
-//! The reference training loop (kept in [`crate::KinetGan`] behind
-//! `interned_pipeline = false`) rebuilds string machinery per batch: every
-//! D_KG positive row round-trips through a `BTreeMap`-backed
-//! [`kinet_kg::Assignment`], the reasoner clones `BTreeSet`s per
-//! valid-value query, and each batch is re-encoded through a freshly built
-//! [`Table`]. This module is the compiled replacement:
+//! `D_KG` trains on KG-valid positives: each real batch row with its
+//! constrained fields re-drawn from the knowledge graph's valid sets.
+//! Doing that through the string reasoner would rebuild string machinery
+//! per batch (a `BTreeMap`-backed [`kinet_kg::Assignment`] per row,
+//! cloned `BTreeSet`s per valid-value query, a fresh [`Table`] re-encoded
+//! per batch). This module compiles it away:
 //!
 //! * the training table is **pre-encoded once** — interned category codes
 //!   ([`EncodedTable`]) plus the deterministic CTGAN transform — and every
@@ -19,8 +18,10 @@
 //!   row;
 //! * the RNG draw sequence (which fields draw, in which order, from
 //!   which-size sets, in which value order) exactly mirrors the string
-//!   reasoner's `sample_valid`, so a fixed seed releases **bit-identical
-//!   bytes** on either pipeline — the property the equivalence tests pin.
+//!   reasoner's `sample_valid`. `crates/core/tests/positives_oracle.rs`
+//!   keeps the string construction as a test oracle and pins
+//!   [`KgTrainPipeline::fill_positives`] bit-equal to it, RNG state
+//!   included.
 
 use kinet_data::encoded::EncodedTable;
 use kinet_data::transform::{ColumnSpan, DataTransformer, ModeSpecificNormalizer};
@@ -59,10 +60,9 @@ enum WriteTarget {
     /// [`KgTrainPipeline::normalizers`]).
     Num { col: usize, span: ColumnSpan },
     /// The rule's value type clashes with the schema column's kind (e.g.
-    /// `AllowedValues` on a continuous column). The reference pipeline
-    /// fails `Table::from_rows` kind validation the moment such a sampled
-    /// value lands on the column; the interned path raises the same error
-    /// at the same point instead of silently skipping the write.
+    /// `AllowedValues` on a continuous column). Writing such a sampled
+    /// value raises a kind error (what `Table::from_rows` would report)
+    /// instead of silently skipping the write.
     Conflict { col: usize },
 }
 
@@ -86,7 +86,7 @@ pub struct KgTrainPipeline {
     /// exists and is categorical.
     scope_syms: Option<Vec<Sym>>,
     /// Per event row: the sampling plan over its constrained fields, in
-    /// sorted field-name order (the reference path's iteration order).
+    /// sorted field-name order (the string oracle's iteration order).
     plans: Vec<Vec<PlanField>>,
     /// Cloned normalizers of continuous columns (schema order).
     normalizers: Vec<Option<ModeSpecificNormalizer>>,
@@ -125,7 +125,7 @@ impl KgTrainPipeline {
         for row in 0..rules.n_event_rows() {
             let mut plan = Vec::new();
             // Field ids ascend in sorted-name order, matching the sorted
-            // `constrained_fields` list of the reference path.
+            // constrained-field list of the string oracle.
             for fid in 0..rules.n_fields() {
                 if fid == rules.scope_fid() || !compiled.is_constrained(row, fid) {
                     continue;
@@ -141,7 +141,7 @@ impl KgTrainPipeline {
                 } else if let Some((lo, hi)) = compiled.valid_range(row, fid) {
                     PlanAction::Range(lo, hi)
                 } else {
-                    // Prefix-only constraint: the reference path falls back
+                    // Prefix-only constraint: the string oracle falls back
                     // to the observed dictionary of the (categorical)
                     // column, or leaves the field unset.
                     match schema_col {
@@ -187,23 +187,18 @@ impl KgTrainPipeline {
         }
     }
 
-    /// The pre-encoded training table.
-    pub fn encoded(&self) -> &EncodedTable {
-        &self.enc
-    }
-
     /// Fills `out` with one KG-valid positive per index of `real_idx`:
     /// the real row's deterministic encoding with its constrained fields
     /// re-drawn from the compiled valid sets (up to `max_tries` rejection
     /// rounds per row; rows whose constraints cannot be satisfied keep
     /// their original encoding). The base gather runs on the worker pool;
-    /// the draws consume `rng` in exactly the reference path's order.
+    /// the draws consume `rng` in exactly the string oracle's order.
     ///
     /// # Errors
     ///
     /// Returns [`DataError::SchemaMismatch`] when an accepted sample puts
     /// a value of the wrong kind on a schema column (a rule/schema type
-    /// conflict) — the point where the reference pipeline's
+    /// conflict) — the point where the string oracle's
     /// `Table::from_rows` fails.
     pub fn fill_positives(
         &mut self,
@@ -278,7 +273,7 @@ impl KgTrainPipeline {
     /// Writes the accepted candidate's fields over the gathered encoding of
     /// one output row. Categories outside the column's training dictionary
     /// cannot be one-hot encoded and keep the original value — the same
-    /// rule the reference path applies.
+    /// rule the string oracle applies.
     fn write_accepted(&self, event_row: usize, orow: &mut [f32]) -> Result<(), DataError> {
         for pf in &self.plans[event_row] {
             let Some(write) = pf.write else { continue };

@@ -37,7 +37,7 @@ fn umbrella_reexports_resolve() {
     );
 }
 
-fn train_and_release_csv_with(interned: bool) -> Vec<u8> {
+fn train_and_release_csv() -> Vec<u8> {
     let data = LabSimulator::new(LabSimConfig {
         n_records: 200,
         seed: 13,
@@ -49,8 +49,7 @@ fn train_and_release_csv_with(interned: bool) -> Vec<u8> {
         KinetGanConfig::fast_demo()
             .with_epochs(2)
             .with_seed(99)
-            .with_rejection_rounds(1)
-            .with_interned_pipeline(interned),
+            .with_rejection_rounds(1),
         LabSimulator::knowledge_graph(),
     );
     model.fit(&data).expect("training succeeds");
@@ -58,10 +57,6 @@ fn train_and_release_csv_with(interned: bool) -> Vec<u8> {
     let mut buf = Vec::new();
     release.write_csv(&mut buf).expect("csv encoding succeeds");
     buf
-}
-
-fn train_and_release_csv() -> Vec<u8> {
-    train_and_release_csv_with(true)
 }
 
 #[test]
@@ -72,19 +67,6 @@ fn fixed_seed_training_is_bit_for_bit_deterministic() {
     assert_eq!(
         first, second,
         "two identical fixed-seed training runs must release identical bytes"
-    );
-}
-
-#[test]
-fn interned_pipeline_matches_string_reference_bytes() {
-    // The compiled (interned) knowledge-infusion path must consume the RNG
-    // in exactly the reference order and make identical decisions, so a
-    // fixed seed releases the same bytes on either implementation.
-    let interned = train_and_release_csv_with(true);
-    let string_ref = train_and_release_csv_with(false);
-    assert_eq!(
-        interned, string_ref,
-        "interned fast path diverged from the string reference pipeline"
     );
 }
 
@@ -132,11 +114,10 @@ fn workspace_is_lint_clean() {
     );
 }
 
-fn small_shard_release_csv(interned: bool) -> Vec<u8> {
+fn small_shard_release_csv() -> Vec<u8> {
     // The condition-balanced trainer introduced for the Table-1 fix:
     // log-frequency train-by-sampling, sampling-time balancing, and
-    // rejection rounds that re-draw conditions — every new code path must
-    // make identical decisions on the interned and string pipelines.
+    // rejection rounds that re-draw conditions.
     let data = LabSimulator::new(LabSimConfig {
         n_records: 150,
         seed: 29,
@@ -148,8 +129,7 @@ fn small_shard_release_csv(interned: bool) -> Vec<u8> {
         KinetGanConfig::small_shard()
             .with_epochs(3)
             .with_seed(77)
-            .with_sample_balance(kinetgan_suite::data::sampler::BalanceMode::LogFreq)
-            .with_interned_pipeline(interned),
+            .with_sample_balance(kinetgan_suite::data::sampler::BalanceMode::LogFreq),
         LabSimulator::knowledge_graph(),
     );
     model.fit(&data).expect("training succeeds");
@@ -160,22 +140,11 @@ fn small_shard_release_csv(interned: bool) -> Vec<u8> {
 }
 
 #[test]
-fn condition_balanced_trainer_is_pipeline_and_thread_invariant() {
-    let reference = small_shard_release_csv(true);
+fn condition_balanced_trainer_is_thread_invariant() {
+    let reference = small_shard_release_csv();
     assert!(!reference.is_empty());
-    assert_eq!(
-        reference,
-        small_shard_release_csv(false),
-        "interned and string pipelines diverged under the balanced trainer"
-    );
     for threads in [1usize, 2, 4] {
-        for interned in [true, false] {
-            let run =
-                kinetgan_suite::tensor::with_threads(threads, || small_shard_release_csv(interned));
-            assert_eq!(
-                reference, run,
-                "release changed at KINET_THREADS={threads}, interned={interned}"
-            );
-        }
+        let run = kinetgan_suite::tensor::with_threads(threads, small_shard_release_csv);
+        assert_eq!(reference, run, "release changed at KINET_THREADS={threads}");
     }
 }
