@@ -30,7 +30,7 @@ pub fn apply_heads<'t>(
         });
         offset += head.width;
     }
-    (Var::concat_cols(&activated), slices)
+    (Var::concat_cols(activated), slices)
 }
 
 /// Reconstruction loss in encoded space: MSE on tanh (alpha) blocks plus
@@ -168,7 +168,7 @@ mod tests {
         let t = tx();
         let mut rng = StdRng::seed_from_u64(0);
         let tape = Tape::new();
-        let logits = tape.constant(Matrix::zeros(5, t.width()));
+        let logits = tape.constant(&Matrix::zeros(5, t.width()));
         let (out, slices) = apply_heads(logits, &t.head_layout(), 0.4, &mut rng);
         assert_eq!(out.shape(), (5, t.width()));
         assert_eq!(slices.len(), t.head_layout().len());
@@ -191,7 +191,7 @@ mod tests {
         logits[(0, 0)] = 50.0;
         logits[(1, 1)] = 50.0;
         let loss =
-            reconstruction_loss(tape.constant(logits), &target, &t.head_layout()).value()[(0, 0)];
+            reconstruction_loss(tape.constant(&logits), &target, &t.head_layout()).value()[(0, 0)];
         assert!(
             loss < 0.2,
             "near-perfect reconstruction should be cheap: {loss}"

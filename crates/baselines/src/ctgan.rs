@@ -78,7 +78,7 @@ impl CtGan {
         rng: &mut StdRng,
     ) -> (Var<'t>, Vec<Var<'t>>) {
         let z = Matrix::randn(c.rows(), self.config.z_dim, 0.0, 1.0, rng);
-        let mut h = tape.constant(Matrix::hstack(&[&z, c]));
+        let mut h = tape.constant(&Matrix::hstack(&[&z, c]));
         for b in &nets.blocks {
             h = b.forward(tape, h, training);
         }
@@ -181,9 +181,9 @@ impl TabularSynthesizer for CtGan {
                         true,
                         &mut rng,
                     );
-                    let real_in = tape.constant(Matrix::hstack(&[&real, &c]));
+                    let real_in = tape.constant(&Matrix::hstack(&[&real, &c]));
                     let d_real = fitted.nets.disc.forward(&tape, real_in, true, &mut rng);
-                    let fake_in = Var::concat_cols(&[fake, tape.constant(c.clone())]);
+                    let fake_in = Var::concat_cols([fake, tape.constant(&c)]);
                     let d_fake = fitted.nets.disc.forward(&tape, fake_in, true, &mut rng);
                     let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
                     tape.backward(loss);
@@ -205,7 +205,7 @@ impl TabularSynthesizer for CtGan {
                         true,
                         &mut rng,
                     );
-                    let fake_in = Var::concat_cols(&[fake, tape.constant(c.clone())]);
+                    let fake_in = Var::concat_cols([fake, tape.constant(&c)]);
                     let d_fake = fitted.nets.disc.forward(&tape, fake_in, true, &mut rng);
                     let mut loss = kinet_nn::loss::gan_generator_loss(d_fake);
                     // cross-entropy on the boosted column only (CTGAN)
@@ -235,7 +235,7 @@ impl TabularSynthesizer for CtGan {
                                 0.0
                             }
                         });
-                        let selected = tape.constant(sel).matmul(head_slice);
+                        let selected = tape.constant(&sel).matmul(head_slice);
                         loss = loss.add(selected.softmax_cross_entropy(&target));
                     }
                     tape.backward(loss);

@@ -41,8 +41,8 @@ impl OdeBlock {
 
     fn dynamics<'t>(&self, tape: &'t Tape, h: Var<'t>, t: f32) -> Var<'t> {
         let (batch, _) = h.shape();
-        let t_col = tape.constant(Matrix::full(batch, 1, t));
-        let input = Var::concat_cols(&[h, t_col]);
+        let t_col = tape.constant(&Matrix::full(batch, 1, t));
+        let input = Var::concat_cols([h, t_col]);
         let mid = self.fc1.forward(tape, input).tanh();
         self.fc2.forward(tape, mid)
     }
@@ -128,7 +128,7 @@ impl OctGan {
         tau: f32,
         rng: &mut StdRng,
     ) -> Var<'t> {
-        let h0 = f.gen_in.forward(tape, tape.constant(z.clone())).tanh();
+        let h0 = f.gen_in.forward(tape, tape.constant(z)).tanh();
         let h1 = f.gen_ode.forward(tape, h0);
         let logits = f.gen_out.forward(tape, h1);
         let (fake, _) = apply_heads(logits, &f.transformer.head_layout(), tau, rng);
@@ -201,13 +201,8 @@ impl TabularSynthesizer for OctGan {
                     let tape = Tape::new();
                     let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
                     let fake = self.gen_forward(&fitted, &tape, &z, cfg.tau, &mut rng);
-                    let d_real = self.disc_forward(
-                        &fitted,
-                        &tape,
-                        tape.constant(real.clone()),
-                        true,
-                        &mut rng,
-                    );
+                    let d_real =
+                        self.disc_forward(&fitted, &tape, tape.constant(&real), true, &mut rng);
                     let d_fake = self.disc_forward(&fitted, &tape, fake, true, &mut rng);
                     let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
                     tape.backward(loss);
@@ -264,7 +259,7 @@ impl TabularSynthesizer for OctGan {
         let mut rng = StdRng::seed_from_u64(0);
         let tape = Tape::new();
         let s = self
-            .disc_forward(f, &tape, tape.constant(encoded), false, &mut rng)
+            .disc_forward(f, &tape, tape.constant(&encoded), false, &mut rng)
             .value();
         Some(s.column(0).iter().map(|&v| v as f64).collect())
     }
@@ -312,7 +307,7 @@ mod tests {
             p.update(|m| *m = kinet_tensor::Matrix::zeros(m.rows(), m.cols()));
         }
         let tape = Tape::new();
-        let h0 = tape.constant(Matrix::from_rows(&[&[1.0, -2.0, 0.5]]));
+        let h0 = tape.constant(&Matrix::from_rows(&[&[1.0, -2.0, 0.5]]));
         let h1 = block.forward(&tape, h0);
         assert_eq!(h1.value(), Matrix::from_rows(&[&[1.0, -2.0, 0.5]]));
     }
@@ -322,7 +317,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let block = OdeBlock::new(4, 8, 3, &mut rng);
         let tape = Tape::new();
-        let h0 = tape.constant(Matrix::ones(2, 4));
+        let h0 = tape.constant(&Matrix::ones(2, 4));
         let h1 = block.forward(&tape, h0);
         let loss = h1.mse(&Matrix::zeros(2, 4));
         tape.backward(loss);

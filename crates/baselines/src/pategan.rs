@@ -141,9 +141,9 @@ impl TabularSynthesizer for PateGan {
                         .collect();
                     let real = encoded.select_rows(&idx);
                     let tape = Tape::new();
-                    let logits = gen.forward(&tape, tape.constant(z.clone()), true, &mut rng);
+                    let logits = gen.forward(&tape, tape.constant(&z), true, &mut rng);
                     let (fake, _) = apply_heads(logits, &heads, cfg.tau, &mut rng);
-                    let d_real = teacher.forward(&tape, tape.constant(real), true, &mut rng);
+                    let d_real = teacher.forward(&tape, tape.constant(&real), true, &mut rng);
                     let d_fake = teacher.forward(&tape, fake, true, &mut rng);
                     let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 1.0);
                     tape.backward(loss);
@@ -156,7 +156,7 @@ impl TabularSynthesizer for PateGan {
                 {
                     let tape = Tape::new();
                     let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let logits = gen.forward(&tape, tape.constant(z), true, &mut rng);
+                    let logits = gen.forward(&tape, tape.constant(&z), true, &mut rng);
                     let (fake, _) = apply_heads(logits, &heads, cfg.tau, &mut rng);
                     let fake_value = fake.value();
                     // PATE vote: each teacher classifies; add Laplace noise
@@ -189,7 +189,7 @@ impl TabularSynthesizer for PateGan {
                 {
                     let tape = Tape::new();
                     let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let logits = gen.forward(&tape, tape.constant(z), true, &mut rng);
+                    let logits = gen.forward(&tape, tape.constant(&z), true, &mut rng);
                     let (fake, _) = apply_heads(logits, &heads, cfg.tau, &mut rng);
                     let s_logits = student.forward(&tape, fake, true, &mut rng);
                     let loss = kinet_nn::loss::gan_generator_loss(s_logits);
@@ -224,7 +224,7 @@ impl TabularSynthesizer for PateGan {
             |want, rng| {
                 let z = Matrix::randn(want, self.config.z_dim, 0.0, 1.0, rng);
                 let tape = Tape::new();
-                let logits = f.gen.forward(&tape, tape.constant(z), false, rng);
+                let logits = f.gen.forward(&tape, tape.constant(&z), false, rng);
                 let (fake, _) = apply_heads(logits, &heads, self.config.tau, rng);
                 f.transformer
                     .inverse_transform(&fake.value())

@@ -198,7 +198,7 @@ impl TabularSynthesizer for TableGan {
             } else if label_idx + 1 == w {
                 left
             } else {
-                Var::concat_cols(&[left, right])
+                Var::concat_cols([left, right])
             }
         }
 
@@ -212,7 +212,7 @@ impl TabularSynthesizer for TableGan {
                 // classifier step (on real data)
                 {
                     let tape = Tape::new();
-                    let x = tape.constant(real.clone());
+                    let x = tape.constant(&real);
                     let features = drop_label(x, label_idx);
                     let pred = clf.forward(&tape, features, true, &mut rng);
                     let target = Matrix::from_fn(cfg.batch_size, 1, |r, _| real[(r, label_idx)]);
@@ -225,8 +225,8 @@ impl TabularSynthesizer for TableGan {
                 {
                     let tape = Tape::new();
                     let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let fake = gen.forward(&tape, tape.constant(z), true, &mut rng).tanh();
-                    let d_real = disc.forward(&tape, tape.constant(real.clone()), true, &mut rng);
+                    let fake = gen.forward(&tape, tape.constant(&z), true, &mut rng).tanh();
+                    let d_real = disc.forward(&tape, tape.constant(&real), true, &mut rng);
                     let d_fake = disc.forward(&tape, fake, true, &mut rng);
                     let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
                     tape.backward(loss);
@@ -241,7 +241,7 @@ impl TabularSynthesizer for TableGan {
                 {
                     let tape = Tape::new();
                     let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let fake = gen.forward(&tape, tape.constant(z), true, &mut rng).tanh();
+                    let fake = gen.forward(&tape, tape.constant(&z), true, &mut rng).tanh();
                     let d_fake = disc.forward(&tape, fake, true, &mut rng);
                     let adv = kinet_nn::loss::gan_generator_loss(d_fake);
                     // information loss: match batch mean and variance

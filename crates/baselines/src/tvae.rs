@@ -97,7 +97,7 @@ impl TabularSynthesizer for Tvae {
                     .collect();
                 let batch = encoded.select_rows(&idx);
                 let tape = Tape::new();
-                let x = tape.constant(batch.clone());
+                let x = tape.constant(&batch);
                 let h = encoder.forward(&tape, x, true, &mut rng);
                 let h = h.relu();
                 let mu = mu_head.forward(&tape, h);

@@ -17,10 +17,12 @@ fn bench_training_step(c: &mut Criterion) {
     let mut opt = Adam::new(mlp.params(), 1e-3);
     let x = Matrix::randn(128, 96, 0.0, 1.0, &mut rng);
     let t = Matrix::zeros(128, 1);
+    // One tape for every step, reset in between, as the trainers run it.
+    let mut tape = Tape::new();
     c.bench_function("mlp_train_step_128x96", |bencher| {
         bencher.iter(|| {
-            let tape = Tape::new();
-            let out = mlp.forward(&tape, tape.constant(x.clone()), true, &mut rng);
+            tape.reset();
+            let out = mlp.forward(&tape, tape.constant(&x), true, &mut rng);
             let loss = out.bce_with_logits(&t);
             tape.backward(loss);
             opt.step();

@@ -1,5 +1,6 @@
 //! End-to-end pipeline benchmarks: the `fast_demo` KiNETGAN fit (with
-//! knowledge guidance and with it off, the pure-NN floor), a
+//! knowledge guidance and with it off, the pure-NN floor), a `small_shard`
+//! fit of one 500-row device (the paper round's training shape), a
 //! rejection-sampling release, and the per-batch knowledge-infusion step
 //! (`KgTrainPipeline::fill_positives`).
 
@@ -45,6 +46,19 @@ fn bench_fit(c: &mut Criterion) {
                 LabSimulator::knowledge_graph(),
             );
             model.fit(&data).expect("training succeeds");
+            criterion::black_box(model.report().map(|r| r.final_validity))
+        });
+    });
+    // The shape the paper's round trains: one 500-row lab device at the
+    // `small_shard` schedule (batch 32, 15 steps per epoch), 4 epochs.
+    let shard = lab_data(500);
+    group.bench_function("fit_small_shard", |b| {
+        b.iter(|| {
+            let mut model = KinetGan::new(
+                KinetGanConfig::small_shard().with_epochs(4).with_seed(7),
+                LabSimulator::knowledge_graph(),
+            );
+            model.fit(&shard).expect("training succeeds");
             criterion::black_box(model.report().map(|r| r.final_validity))
         });
     });

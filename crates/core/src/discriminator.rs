@@ -47,8 +47,8 @@ impl RecordDiscriminator {
         training: bool,
         rng: &mut impl Rng,
     ) -> Var<'t> {
-        let c_node = tape.constant(c.clone());
-        let input = Var::concat_cols(&[rows, c_node]);
+        let c_node = tape.constant(c);
+        let input = Var::concat_cols([rows, c_node]);
         assert_eq!(input.shape().1, self.input_dim, "D_M input width mismatch");
         self.net.forward(tape, input, training, rng)
     }
@@ -121,7 +121,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let d = RecordDiscriminator::new(10, 4, &[16], 0.1, &mut rng);
         let tape = Tape::new();
-        let rows = tape.constant(Matrix::zeros(6, 10));
+        let rows = tape.constant(&Matrix::zeros(6, 10));
         let c = Matrix::zeros(6, 4);
         let out = d.forward(&tape, rows, &c, true, &mut rng);
         assert_eq!(out.shape(), (6, 1));
@@ -146,8 +146,8 @@ mod tests {
                 invalid[(r, 0)] -= 1.0;
             }
             let tape = Tape::new();
-            let vp = d.forward(&tape, tape.constant(valid), true, &mut rng);
-            let vi = d.forward(&tape, tape.constant(invalid), true, &mut rng);
+            let vp = d.forward(&tape, tape.constant(&valid), true, &mut rng);
+            let vi = d.forward(&tape, tape.constant(&invalid), true, &mut rng);
             let loss = vp
                 .bce_with_logits(&Matrix::ones(16, 1))
                 .add(vi.bce_with_logits(&Matrix::zeros(16, 1)));
@@ -170,7 +170,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let d = KnowledgeDiscriminator::new(4, &[8], 0.0, &mut rng);
         let tape = Tape::new();
-        let _ = d.forward(&tape, tape.constant(Matrix::zeros(2, 5)), true, &mut rng);
+        let _ = d.forward(&tape, tape.constant(&Matrix::zeros(2, 5)), true, &mut rng);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use kinet_data::transform::{DataTransformer, HeadKind, HeadSpec};
 use kinet_nn::layers::{gumbel_softmax, Linear, ResidualBlock};
-use kinet_nn::{ParamSet, Tape, Var};
+use kinet_nn::{ParamSet, Tape, Var, VarList};
 use kinet_tensor::{Matrix, MatrixRandomExt};
 use rand::Rng;
 
@@ -23,7 +23,7 @@ pub struct GeneratorOutput<'t> {
     pub output: Var<'t>,
     /// Pre-activation logits per head, in head order (used by the
     /// condition-consistency and mask losses).
-    pub head_logits: Vec<Var<'t>>,
+    pub head_logits: VarList<'t>,
 }
 
 /// The KiNETGAN conditional generator network.
@@ -95,35 +95,12 @@ impl ConditionalGenerator {
         rng: &mut impl Rng,
     ) -> GeneratorOutput<'t> {
         assert_eq!(z.cols(), self.z_dim, "z width mismatch");
-        assert_eq!(c.cols(), self.cond_dim, "condition width mismatch");
         assert_eq!(z.rows(), c.rows(), "z/c batch mismatch");
-        let input = Matrix::hstack(&[z, c]);
-        let mut h = tape.constant(input);
-        for block in &self.blocks {
-            h = block.forward(tape, h, training);
-        }
-        let logits = self.output.forward(tape, h);
-
-        let mut head_logits = Vec::with_capacity(self.heads.len());
-        let mut activated = Vec::with_capacity(self.heads.len());
-        let mut offset = 0;
-        for head in &self.heads {
-            let slice = logits.slice_cols(offset, offset + head.width);
-            head_logits.push(slice);
-            let out = match head.kind {
-                HeadKind::Tanh => slice.tanh(),
-                HeadKind::Softmax => gumbel_softmax(slice, tau, rng),
-            };
-            activated.push(out);
-            offset += head.width;
-        }
-        GeneratorOutput {
-            output: Var::concat_cols(&activated),
-            head_logits,
-        }
+        self.forward_nodes(tape, tape.constant(z), c, tau, training, rng)
     }
 
-    /// Convenience: draws `batch` rows with fresh standard-normal noise.
+    /// Convenience: draws `batch` rows with fresh standard-normal noise,
+    /// written straight into a tape constant.
     pub fn generate<'t>(
         &self,
         tape: &'t Tape,
@@ -132,8 +109,45 @@ impl ConditionalGenerator {
         training: bool,
         rng: &mut impl Rng,
     ) -> GeneratorOutput<'t> {
-        let z = Matrix::randn(c.rows(), self.z_dim, 0.0, 1.0, rng);
-        self.forward(tape, &z, c, tau, training, rng)
+        let z = tape.constant_with(c.rows(), self.z_dim, |z| z.fill_randn(0.0, 1.0, rng));
+        self.forward_nodes(tape, z, c, tau, training, rng)
+    }
+
+    /// The network from `[z ⊕ C]` on; the input is a constant, so the
+    /// reverse pass computes no gradient for it.
+    fn forward_nodes<'t>(
+        &self,
+        tape: &'t Tape,
+        z: Var<'t>,
+        c: &Matrix,
+        tau: f32,
+        training: bool,
+        rng: &mut impl Rng,
+    ) -> GeneratorOutput<'t> {
+        assert_eq!(c.cols(), self.cond_dim, "condition width mismatch");
+        let mut h = Var::concat_cols([z, tape.constant(c)]);
+        for block in &self.blocks {
+            h = block.forward(tape, h, training);
+        }
+        let logits = self.output.forward(tape, h);
+
+        // All head slices first, then the activations: both lists stay
+        // contiguous on the tape, and the Gumbel draws keep head order.
+        let mut offset = 0;
+        let head_logits = tape.list(self.heads.iter().map(|head| {
+            offset += head.width;
+            logits.slice_cols(offset - head.width, offset)
+        }));
+        let output = Var::concat_cols(self.heads.iter().zip(head_logits.iter()).map(
+            |(head, slice)| match head.kind {
+                HeadKind::Tanh => slice.tanh(),
+                HeadKind::Softmax => gumbel_softmax(slice, tau, rng),
+            },
+        ));
+        GeneratorOutput {
+            output,
+            head_logits,
+        }
     }
 
     /// All trainable parameters.

@@ -12,7 +12,7 @@ use kinet_data::transform::{CategoricalEncoder, DataTransformer};
 use kinet_data::{ColumnKind, Table, Value};
 use kinet_kg::NetworkKg;
 use kinet_nn::optim::{Adam, Optimizer};
-use kinet_nn::{Tape, Var};
+use kinet_nn::{Tape, Var, VarList};
 use kinet_tensor::Matrix;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -237,51 +237,62 @@ impl KinetGan {
         // and compile per-event sampling plans; every batch then gathers
         // by index into reused buffers.
         let mut kg_pipe = use_dkg.then(|| KgTrainPipeline::new(&self.kg, table, &transformer));
+        let mut c = Matrix::default();
+        let mut real_idx: Vec<usize> = Vec::new();
         let mut real_buf = Matrix::default();
         let mut pos_buf = Matrix::default();
+        let mut target_buf = Matrix::default();
+        // One tape serves every pass of every step: `reset` keeps its
+        // buffers, so steps after the first allocate nothing.
+        let mut tape = Tape::new();
 
         for epoch in 0..cfg.epochs {
             let mut d_epoch = 0.0f32;
             let mut g_epoch = 0.0f32;
             let mut class_counts = vec![0u64; report.class_names.len()];
             for step in 0..steps {
-                let conditions = sampler.sample_batch(
+                sampler.sample_batch_into(
                     table,
                     &cond_spec,
                     cfg.balance,
                     true,
                     cfg.batch_size,
                     &mut rng,
+                    &mut c,
+                    &mut real_idx,
                 )?;
                 if !row_class.is_empty() {
-                    for cond in &conditions {
-                        class_counts[row_class[cond.row]] += 1;
+                    for &row in &real_idx {
+                        class_counts[row_class[row]] += 1;
                     }
                 }
-                let c = Matrix::from_fn(cfg.batch_size, cond_spec.width(), |r, ccol| {
-                    conditions[r].vector[ccol]
-                });
-                let real_idx: Vec<usize> = conditions.iter().map(|s| s.row).collect();
                 encoded.gather_rows_into(&real_idx, &mut real_buf);
 
                 // ---- discriminator step ----
                 {
-                    let tape = Tape::new();
-                    let fake = generator.generate(&tape, &c, cfg.tau, true, &mut rng);
-                    let real_node = tape.constant(real_buf.clone());
+                    tape.reset();
+                    // The critics score a constant copy of the fake rows,
+                    // so the reverse pass stops there: no gradient work
+                    // reaches the generator, whose parameters this step
+                    // does not update.
+                    let fake = generator
+                        .generate(&tape, &c, cfg.tau, true, &mut rng)
+                        .output
+                        .detach();
+                    let real_node = tape.constant(&real_buf);
                     let d_real = d_m.forward(&tape, real_node, &c, true, &mut rng);
-                    let d_fake = d_m.forward(&tape, fake.output, &c, true, &mut rng);
+                    let d_fake = d_m.forward(&tape, fake, &c, true, &mut rng);
                     let mut loss =
                         kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, cfg.real_label);
                     if let (Some(dkg), Some(pipe)) = (&d_kg, kg_pipe.as_mut()) {
                         pipe.fill_positives(&real_idx, &mut pos_buf, &mut rng, 8)?;
-                        let pos = tape.constant(pos_buf.clone());
+                        let pos = tape.constant(&pos_buf);
                         let kg_pos = dkg.forward(&tape, pos, true, &mut rng);
-                        let kg_neg = dkg.forward(&tape, fake.output, true, &mut rng);
+                        let kg_neg = dkg.forward(&tape, fake, true, &mut rng);
                         let kg_loss = kinet_nn::loss::gan_discriminator_loss(kg_pos, kg_neg, 1.0);
                         loss = loss.add(kg_loss);
                     }
-                    let loss_value = loss.value()[(0, 0)];
+                    let loss_value = loss.scalar();
                     if !loss_value.is_finite() {
                         return Err(SynthError::Training(format!(
                             "discriminator loss became non-finite ({loss_value}) at epoch \
@@ -296,12 +307,11 @@ impl KinetGan {
                     }
                     d_opt.step();
                     d_opt.zero_grad();
-                    g_opt.zero_grad(); // discard generator grads from this tape
                 }
 
                 // ---- generator step ----
                 {
-                    let tape = Tape::new();
+                    tape.reset();
                     let fake = generator.generate(&tape, &c, cfg.tau, true, &mut rng);
                     let d_fake = d_m.forward(&tape, fake.output, &c, true, &mut rng);
                     // Eq. 3: D_C = D_KG + D_M (λ_kg scales the KG term)
@@ -316,15 +326,17 @@ impl KinetGan {
                     for &(spec_idx, head_idx, _schema_idx) in &cond_heads {
                         let off = cond_spec.offset(spec_idx);
                         let w = cond_spec.encoder(spec_idx).n_categories();
-                        let target = c_block(&c, off, w);
-                        let ce = fake.head_logits[head_idx].softmax_cross_entropy(&target);
+                        c.slice_cols_into(off, off + w, &mut target_buf);
+                        let ce = fake
+                            .head_logits
+                            .get(head_idx)
+                            .softmax_cross_entropy(&target_buf);
                         loss = loss.add(ce.scale(cfg.lambda_cond));
                     }
                     if use_mask {
                         if let Some(pen) = self.mask_penalty(
-                            &tape,
-                            &fake.head_logits,
-                            &conditions,
+                            fake.head_logits,
+                            &c,
                             &cond_spec,
                             &cond_heads,
                             &transformer,
@@ -332,7 +344,7 @@ impl KinetGan {
                             loss = loss.add(pen.scale(cfg.lambda_kg));
                         }
                     }
-                    let loss_value = loss.value()[(0, 0)];
+                    let loss_value = loss.scalar();
                     if !loss_value.is_finite() {
                         return Err(SynthError::Training(format!(
                             "generator loss became non-finite ({loss_value}) at epoch {epoch}, \
@@ -372,16 +384,15 @@ impl KinetGan {
     /// class. Returns `None` when no mass is constrained.
     fn mask_penalty<'t>(
         &self,
-        tape: &'t Tape,
-        head_logits: &[Var<'t>],
-        conditions: &[kinet_data::sampler::SampledCondition],
+        head_logits: VarList<'t>,
+        c: &Matrix,
         cond_spec: &ConditionVectorSpec,
         cond_heads: &[(usize, usize, usize)],
         transformer: &DataTransformer,
     ) -> Option<Var<'t>> {
         let scope = self.kg.scope_field();
         let scope_spec_idx = cond_spec.column_index(scope)?;
-        let batch = conditions.len();
+        let batch = c.rows();
         let mut any = false;
         let mut penalty: Option<Var<'t>> = None;
         for &(spec_idx, head_idx, schema_idx) in cond_heads {
@@ -392,11 +403,11 @@ impl KinetGan {
             let enc = cond_spec.encoder(spec_idx);
             let w = enc.n_categories();
             let mut invalid = Matrix::zeros(batch, w);
-            for (r, cond) in conditions.iter().enumerate() {
+            for r in 0..batch {
                 // event of this row, decoded from the condition vector
                 let off = cond_spec.offset(scope_spec_idx);
                 let sw = cond_spec.encoder(scope_spec_idx).n_categories();
-                let event_code = (0..sw).find(|&j| cond.vector[off + j] > 0.5).unwrap_or(0);
+                let event_code = (0..sw).find(|&j| c[(r, off + j)] > 0.5).unwrap_or(0);
                 let event = cond_spec
                     .encoder(scope_spec_idx)
                     .decode(event_code)
@@ -411,14 +422,13 @@ impl KinetGan {
                     }
                 }
             }
-            let probs = head_logits[head_idx].softmax();
+            let probs = head_logits.get(head_idx).softmax();
             let masked = probs.mul_const(&invalid).sum().scale(1.0 / batch as f32);
             penalty = Some(match penalty {
                 Some(p) => p.add(masked),
                 None => masked,
             });
         }
-        let _ = tape;
         if any {
             penalty
         } else {
@@ -522,10 +532,6 @@ fn softmax_rows(m: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-fn c_block(c: &Matrix, offset: usize, width: usize) -> Matrix {
-    Matrix::from_fn(c.rows(), width, |r, j| c[(r, offset + j)])
 }
 
 impl TabularSynthesizer for KinetGan {

@@ -10,6 +10,7 @@
 
 use crate::condition::ConditionVectorSpec;
 use crate::table::{DataError, Table};
+use kinet_tensor::Matrix;
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -149,21 +150,31 @@ impl TrainingSampler {
         full_condition: bool,
         rng: &mut impl Rng,
     ) -> Result<SampledCondition, DataError> {
-        match mode {
-            BalanceMode::None => {
-                let row = rng.random_range(0..self.n_rows);
-                let vector = if full_condition {
-                    spec.vector_from_row(table, row)?
-                } else {
-                    vec![0.0; spec.width()]
-                };
-                Ok(SampledCondition {
-                    vector,
-                    boosted_column: None,
-                    boosted_category: None,
-                    row,
-                })
-            }
+        let mut vector = vec![0.0f32; spec.width()];
+        let (boosted, row) =
+            self.sample_into(table, spec, mode, full_condition, rng, &mut vector)?;
+        Ok(SampledCondition {
+            vector,
+            boosted_column: boosted.map(|(col, _)| col),
+            boosted_category: boosted.map(|(_, cat)| cat),
+            row,
+        })
+    }
+
+    /// The one sampling routine: writes the condition vector into `out`
+    /// (length `spec.width()`) and returns the boosted `(column, category)`
+    /// pick (`None` for [`BalanceMode::None`]) and the matched row.
+    fn sample_into(
+        &self,
+        table: &Table,
+        spec: &ConditionVectorSpec,
+        mode: BalanceMode,
+        full_condition: bool,
+        rng: &mut impl Rng,
+        out: &mut [f32],
+    ) -> Result<(Option<(usize, usize)>, usize), DataError> {
+        let (boosted, row) = match mode {
+            BalanceMode::None => (None, rng.random_range(0..self.n_rows)),
             BalanceMode::LogFreq | BalanceMode::Uniform => {
                 let col = rng.random_range(0..spec.n_columns());
                 let n_cats = spec.encoder(col).n_categories();
@@ -186,21 +197,18 @@ impl TrainingSampler {
                 } else {
                     bucket[rng.random_range(0..bucket.len())]
                 };
-                let vector = if full_condition {
-                    spec.vector_from_row(table, row)?
-                } else {
-                    let mut v = vec![0.0f32; spec.width()];
-                    v[spec.offset(col) + cat] = 1.0;
-                    v
-                };
-                Ok(SampledCondition {
-                    vector,
-                    boosted_column: Some(col),
-                    boosted_category: Some(cat),
-                    row,
-                })
+                (Some((col, cat)), row)
+            }
+        };
+        if full_condition {
+            spec.write_row(table, row, out)?;
+        } else {
+            out.fill(0.0);
+            if let Some((col, cat)) = boosted {
+                out[spec.offset(col) + cat] = 1.0;
             }
         }
+        Ok((boosted, row))
     }
 
     /// Samples a batch of conditions plus the matching real-row indices.
@@ -220,6 +228,37 @@ impl TrainingSampler {
         (0..batch)
             .map(|_| self.sample_condition(table, spec, mode, full_condition, rng))
             .collect()
+    }
+
+    /// Samples a batch into reused buffers: row `r` of `c` becomes the
+    /// `r`-th condition vector (`c` is resized to `batch × spec.width()`)
+    /// and `rows` the matched real-row indices. Draws exactly what
+    /// [`TrainingSampler::sample_batch`] draws, without allocating once the
+    /// buffers have grown.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`TrainingSampler::sample_condition`] failures.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample_batch_into(
+        &self,
+        table: &Table,
+        spec: &ConditionVectorSpec,
+        mode: BalanceMode,
+        full_condition: bool,
+        batch: usize,
+        rng: &mut impl Rng,
+        c: &mut Matrix,
+        rows: &mut Vec<usize>,
+    ) -> Result<(), DataError> {
+        c.resize(batch, spec.width());
+        rows.clear();
+        for r in 0..batch {
+            let (_, row) =
+                self.sample_into(table, spec, mode, full_condition, rng, c.row_mut(r))?;
+            rows.push(row);
+        }
+        Ok(())
     }
 }
 

@@ -57,7 +57,7 @@ impl Activation {
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let l = Linear::new(3, 2, &mut rng);
 /// let tape = Tape::new();
-/// let y = l.forward(&tape, tape.constant(Matrix::ones(4, 3)));
+/// let y = l.forward(&tape, tape.constant(&Matrix::ones(4, 3)));
 /// assert_eq!(y.shape(), (4, 2));
 /// ```
 #[derive(Clone, Debug)]
@@ -152,15 +152,14 @@ impl BatchNorm1d {
             let var = centered.mul(centered).mean_rows();
             let std = var.add_scalar(self.eps).sqrt();
             let xn = centered.div_row(std);
-            {
-                let mut rm = self.running_mean.borrow_mut();
-                let mut rv = self.running_var.borrow_mut();
-                *rm = rm
-                    .scale(1.0 - self.momentum)
-                    .add(&mu.value().scale(self.momentum));
-                *rv = rv
-                    .scale(1.0 - self.momentum)
-                    .add(&var.value().scale(self.momentum));
+            let m = self.momentum;
+            for (running, batch) in [(&self.running_mean, mu), (&self.running_var, var)] {
+                batch.with_value(|b| {
+                    let mut running = running.borrow_mut();
+                    for (r, &v) in running.as_mut_slice().iter_mut().zip(b.as_slice()) {
+                        *r = *r * (1.0 - m) + v * m;
+                    }
+                });
             }
             xn.mul_row(gamma).add_row(beta)
         } else {
@@ -221,8 +220,11 @@ impl Dropout {
             return x;
         }
         let (r, c) = x.shape();
-        let mask = Matrix::dropout_mask(r, c, 1.0 - self.p, rng);
-        x.mul_const(&mask)
+        let keep = 1.0 - self.p;
+        let mask = x
+            .tape()
+            .constant_with(r, c, |m| m.fill_dropout_mask(keep, rng));
+        x.mul(mask)
     }
 }
 
@@ -252,7 +254,7 @@ impl ResidualBlock {
             .bn
             .forward(tape, self.fc.forward(tape, x), training)
             .relu();
-        Var::concat_cols(&[x, h])
+        Var::concat_cols([x, h])
     }
 
     /// Output width given this block's input width.
@@ -398,8 +400,8 @@ pub fn gumbel_softmax<'t>(logits: Var<'t>, tau: f32, rng: &mut impl Rng) -> Var<
         "gumbel-softmax temperature must be positive, got {tau}"
     );
     let (r, c) = logits.shape();
-    let noise = Matrix::gumbel(r, c, rng);
-    logits.add_const(&noise).scale(1.0 / tau).softmax()
+    let noise = logits.tape().constant_with(r, c, |m| m.fill_gumbel(rng));
+    logits.add(noise).scale(1.0 / tau).softmax()
 }
 
 #[cfg(test)]
@@ -415,7 +417,7 @@ mod tests {
         assert_eq!(l.fan_out(), 3);
         assert_eq!(l.params().len(), 2);
         let tape = Tape::new();
-        let y = l.forward(&tape, tape.constant(Matrix::ones(2, 5)));
+        let y = l.forward(&tape, tape.constant(&Matrix::ones(2, 5)));
         assert_eq!(y.shape(), (2, 3));
     }
 
@@ -425,7 +427,7 @@ mod tests {
         let bn = BatchNorm1d::new(3);
         let x = Matrix::randn(64, 3, 5.0, 2.0, &mut rng);
         let tape = Tape::new();
-        let y = bn.forward(&tape, tape.constant(x), true).value();
+        let y = bn.forward(&tape, tape.constant(&x), true).value();
         let mu = y.mean_rows();
         let var = y.var_rows();
         for c in 0..3 {
@@ -442,10 +444,10 @@ mod tests {
         // accumulate running stats
         for _ in 0..50 {
             let tape = Tape::new();
-            let _ = bn.forward(&tape, tape.constant(x.clone()), true);
+            let _ = bn.forward(&tape, tape.constant(&x), true);
         }
         let tape = Tape::new();
-        let y = bn.forward(&tape, tape.constant(x.clone()), false).value();
+        let y = bn.forward(&tape, tape.constant(&x), false).value();
         // eval output should be roughly standardized too
         assert!(y.mean_rows()[(0, 0)].abs() < 0.2);
     }
@@ -456,7 +458,7 @@ mod tests {
         let bn = BatchNorm1d::new(2);
         let x = Matrix::randn(16, 2, 0.0, 1.0, &mut rng);
         let tape = Tape::new();
-        let y = bn.forward(&tape, tape.constant(x), true);
+        let y = bn.forward(&tape, tape.constant(&x), true);
         let loss = y.mse(&Matrix::zeros(16, 2));
         tape.backward(loss);
         assert_eq!(bn.params().len(), 2);
@@ -468,7 +470,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let d = Dropout::new(0.5);
         let tape = Tape::new();
-        let x = tape.constant(Matrix::ones(4, 4));
+        let x = tape.constant(&Matrix::ones(4, 4));
         let y = d.forward(x, false, &mut rng);
         assert_eq!(y.value(), Matrix::ones(4, 4));
     }
@@ -478,7 +480,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let d = Dropout::new(0.5);
         let tape = Tape::new();
-        let x = tape.constant(Matrix::ones(20, 20));
+        let x = tape.constant(&Matrix::ones(20, 20));
         let y = d.forward(x, true, &mut rng).value();
         let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
         assert!(zeros > 50, "expected many dropped activations, got {zeros}");
@@ -490,7 +492,7 @@ mod tests {
         let block = ResidualBlock::new(8, 4, &mut rng);
         assert_eq!(block.out_dim(), 12);
         let tape = Tape::new();
-        let y = block.forward(&tape, tape.constant(Matrix::ones(3, 8)), true);
+        let y = block.forward(&tape, tape.constant(&Matrix::ones(3, 8)), true);
         assert_eq!(y.shape(), (3, 12));
         // the first 8 columns are the untouched input
         assert_eq!(y.value().slice_cols(0, 8), Matrix::ones(3, 8));
@@ -506,7 +508,7 @@ mod tests {
         let mut opt = crate::optim::Adam::new(mlp.params(), 0.05);
         for _ in 0..400 {
             let tape = Tape::new();
-            let out = mlp.forward(&tape, tape.constant(x.clone()), true, &mut rng);
+            let out = mlp.forward(&tape, tape.constant(&x), true, &mut rng);
             let loss = out.bce_with_logits(&t);
             tape.backward(loss);
             crate::optim::Optimizer::step(&mut opt);
@@ -521,7 +523,7 @@ mod tests {
     fn gumbel_softmax_is_distribution() {
         let mut rng = StdRng::seed_from_u64(8);
         let tape = Tape::new();
-        let logits = tape.constant(Matrix::from_rows(&[&[5.0, 0.0, 0.0], &[0.0, 0.0, 5.0]]));
+        let logits = tape.constant(&Matrix::from_rows(&[&[5.0, 0.0, 0.0], &[0.0, 0.0, 5.0]]));
         let s = gumbel_softmax(logits, 0.5, &mut rng).value();
         for r in 0..2 {
             let sum: f32 = s.row(r).iter().sum();
@@ -536,7 +538,7 @@ mod tests {
     fn gumbel_softmax_rejects_zero_tau() {
         let mut rng = StdRng::seed_from_u64(9);
         let tape = Tape::new();
-        let logits = tape.constant(Matrix::ones(1, 2));
+        let logits = tape.constant(&Matrix::ones(1, 2));
         let _ = gumbel_softmax(logits, 0.0, &mut rng);
     }
 }

@@ -6,8 +6,9 @@
 //! generators and discriminators, a VAE, PATE teacher ensembles and unrolled
 //! neural-ODE blocks — with deterministic, seedable behaviour throughout:
 //!
-//! * [`Tape`]/[`Var`]: a dynamic computation graph built per training step,
-//!   with gradients accumulated back into persistent [`Param`]s.
+//! * [`Tape`]/[`Var`]: a dynamic computation graph recorded per pass and
+//!   reset between passes (keeping its buffers), with gradients
+//!   accumulated back into persistent [`Param`]s.
 //! * [`layers`]: `Linear`, `BatchNorm1d`, `Dropout`, residual blocks and an
 //!   `Mlp` builder.
 //! * [`loss`]: BCE-with-logits, softmax cross-entropy, MSE and GAN losses.
@@ -25,9 +26,10 @@
 //! let mut opt = Adam::new(layer.params(), 0.1);
 //! let x = Matrix::col_vector(&[0.0, 1.0, 2.0, 3.0]);
 //! let y = Matrix::col_vector(&[0.0, 2.0, 4.0, 6.0]);
+//! let mut tape = Tape::new();
 //! for _ in 0..200 {
-//!     let tape = Tape::new();
-//!     let out = layer.forward(&tape, tape.constant(x.clone()));
+//!     tape.reset();
+//!     let out = layer.forward(&tape, tape.constant(&x));
 //!     let l = loss::mse(out, &y);
 //!     tape.backward(l);
 //!     opt.step();
@@ -45,7 +47,7 @@ pub mod loss;
 pub mod optim;
 
 pub use param::{Param, ParamSet};
-pub use tape::{Tape, Var};
+pub use tape::{Tape, Var, VarList};
 
 /// Numerically compares an analytic gradient against central finite
 /// differences; intended for tests of new ops and layers.

@@ -28,13 +28,18 @@ pub fn gan_discriminator_loss<'t>(
     fake_logits: Var<'t>,
     real_label: f32,
 ) -> Var<'t> {
-    let (r, _) = real_logits.shape();
-    let (f, _) = fake_logits.shape();
-    let real_t = Matrix::full(r, 1, real_label);
-    let fake_t = Matrix::zeros(f, 1);
-    real_logits
-        .bce_with_logits(&real_t)
-        .add(fake_logits.bce_with_logits(&fake_t))
+    let real = real_logits.bce_with_logits_node(labels(real_logits, real_label));
+    let fake = fake_logits.bce_with_logits_node(labels(fake_logits, 0.0));
+    real.add(fake)
+}
+
+/// A constant `rows × 1` column of `label`, one row per row of `logits`,
+/// written straight into the tape.
+fn labels(logits: Var<'_>, label: f32) -> Var<'_> {
+    let (rows, _) = logits.shape();
+    logits
+        .tape()
+        .constant_with(rows, 1, |t| t.as_mut_slice().fill(label))
 }
 
 /// Non-saturating generator loss: fake rows should be scored as real.
@@ -43,9 +48,7 @@ pub fn gan_discriminator_loss<'t>(
 /// standard non-saturating form (`-log D(G(z))`), which has the same fixed
 /// points but usable gradients early in training.
 pub fn gan_generator_loss<'t>(fake_logits: Var<'t>) -> Var<'t> {
-    let (f, _) = fake_logits.shape();
-    let real_t = Matrix::ones(f, 1);
-    fake_logits.bce_with_logits(&real_t)
+    fake_logits.bce_with_logits_node(labels(fake_logits, 1.0))
 }
 
 /// KL divergence `KL(N(mu, sigma²) ‖ N(0, 1))`, summed over latent
@@ -67,8 +70,8 @@ mod tests {
     fn gan_losses_at_equilibrium() {
         // At D(x) = 0.5 (logit 0) both losses equal ln 2 (D loss = 2 ln 2).
         let tape = Tape::new();
-        let real = tape.constant(Matrix::zeros(4, 1));
-        let fake = tape.constant(Matrix::zeros(4, 1));
+        let real = tape.constant(&Matrix::zeros(4, 1));
+        let fake = tape.constant(&Matrix::zeros(4, 1));
         let d = gan_discriminator_loss(real, fake, 1.0);
         assert!((d.value()[(0, 0)] - 2.0 * std::f32::consts::LN_2).abs() < 1e-5);
         let g = gan_generator_loss(fake);
@@ -78,12 +81,12 @@ mod tests {
     #[test]
     fn discriminator_loss_decreases_with_confidence() {
         let tape = Tape::new();
-        let good_real = tape.constant(Matrix::full(4, 1, 5.0));
-        let good_fake = tape.constant(Matrix::full(4, 1, -5.0));
+        let good_real = tape.constant(&Matrix::full(4, 1, 5.0));
+        let good_fake = tape.constant(&Matrix::full(4, 1, -5.0));
         let confident = gan_discriminator_loss(good_real, good_fake, 1.0);
         let mid = gan_discriminator_loss(
-            tape.constant(Matrix::zeros(4, 1)),
-            tape.constant(Matrix::zeros(4, 1)),
+            tape.constant(&Matrix::zeros(4, 1)),
+            tape.constant(&Matrix::zeros(4, 1)),
             1.0,
         );
         assert!(confident.value()[(0, 0)] < mid.value()[(0, 0)]);
@@ -92,8 +95,8 @@ mod tests {
     #[test]
     fn label_smoothing_shifts_target() {
         let tape = Tape::new();
-        let real = tape.constant(Matrix::full(2, 1, 10.0));
-        let fake = tape.constant(Matrix::full(2, 1, -10.0));
+        let real = tape.constant(&Matrix::full(2, 1, 10.0));
+        let fake = tape.constant(&Matrix::full(2, 1, -10.0));
         let hard = gan_discriminator_loss(real, fake, 1.0).value()[(0, 0)];
         let soft = gan_discriminator_loss(real, fake, 0.9).value()[(0, 0)];
         assert!(soft > hard, "smoothed labels penalize over-confident D");
@@ -102,8 +105,8 @@ mod tests {
     #[test]
     fn kl_zero_for_standard_normal() {
         let tape = Tape::new();
-        let mu = tape.constant(Matrix::zeros(8, 3));
-        let logvar = tape.constant(Matrix::zeros(8, 3));
+        let mu = tape.constant(&Matrix::zeros(8, 3));
+        let logvar = tape.constant(&Matrix::zeros(8, 3));
         let kl = gaussian_kl(mu, logvar);
         assert!(kl.value()[(0, 0)].abs() < 1e-6);
     }
@@ -123,7 +126,7 @@ mod tests {
     #[test]
     fn mse_free_function_matches_method() {
         let tape = Tape::new();
-        let x = tape.constant(Matrix::row_vector(&[1.0, 3.0]));
+        let x = tape.constant(&Matrix::row_vector(&[1.0, 3.0]));
         let t = Matrix::row_vector(&[0.0, 0.0]);
         assert_eq!(mse(x, &t).value()[(0, 0)], 5.0);
     }

@@ -90,17 +90,14 @@ impl Param {
         self.inner.borrow_mut().grad.add_assign_scaled(delta, 1.0);
     }
 
+    /// Rewrites every gradient element as `f(g)`, in place.
+    pub fn map_grad(&self, f: impl Fn(f32) -> f32) {
+        self.inner.borrow_mut().grad.map_inplace(f);
+    }
+
     /// Resets the gradient to zero, reusing the existing buffer.
     pub fn zero_grad(&self) {
         self.inner.borrow_mut().grad.as_mut_slice().fill(0.0);
-    }
-
-    /// In-place SGD-style update `value -= lr * grad` (used by simple
-    /// optimizers and tests).
-    pub fn apply_gradient_step(&self, lr: f32) {
-        let mut inner = self.inner.borrow_mut();
-        let grad = inner.grad.clone();
-        inner.value.add_assign_scaled(&grad, -lr);
     }
 
     /// `true` when two handles refer to the same underlying parameter.
@@ -201,26 +198,25 @@ impl ParamSet {
     /// Returns the pre-clip norm.
     pub fn clip_grad_norm(&self, max_norm: f32) -> f32 {
         let norm = self.grad_norm();
+        // In place, and bit-identical to the former rewrite of each
+        // gradient into a zeroed buffer: the `0.0 +` keeps its signed-zero
+        // result (`0.0 + -0.0` is `+0.0`).
         if !norm.is_finite() {
             for p in &self.params {
-                let cleaned = p.grad().map(|g| {
-                    if g.is_finite() {
+                p.map_grad(|g| {
+                    0.0 + if g.is_finite() {
                         g.clamp(-max_norm, max_norm)
                     } else {
                         0.0
                     }
                 });
-                p.zero_grad();
-                p.accumulate_grad(&cleaned);
             }
             return norm;
         }
         if norm > max_norm && norm > 0.0 {
             let scale = max_norm / norm;
             for p in &self.params {
-                let scaled = p.grad().scale(scale);
-                p.zero_grad();
-                p.accumulate_grad(&scaled);
+                p.map_grad(|g| 0.0 + g * scale);
             }
         }
         norm
@@ -274,14 +270,6 @@ mod tests {
         assert_eq!(p.grad().sum(), 12.0);
         p.zero_grad();
         assert_eq!(p.grad().sum(), 0.0);
-    }
-
-    #[test]
-    fn gradient_step_descends() {
-        let p = Param::new(Matrix::full(1, 1, 3.0));
-        p.accumulate_grad(&Matrix::full(1, 1, 1.0));
-        p.apply_gradient_step(0.5);
-        assert_eq!(p.value()[(0, 0)], 2.5);
     }
 
     #[test]

@@ -5,15 +5,37 @@
 //! since operands always precede results) and accumulates gradients, finally
 //! writing parameter gradients back into their [`Param`] cells.
 //!
-//! Tapes are intended to be short-lived: build one per training step, run
-//! `backward`, drop it.
+//! # One tape per training loop
+//!
+//! A tape lives as long as the loop that owns it. [`Tape::reset`] clears
+//! the graph but keeps every node slot's value and gradient buffer, and
+//! node `i` of the next pass writes into slot `i`. A loop that records
+//! the same graphs every step (a GAN's D pass, then its G pass) therefore
+//! stops allocating after its first step. Everything a pass reads is
+//! copied into a slot, never cloned: constants ([`Tape::constant`]),
+//! parameter values ([`Tape::param`]), random draws such as noise and
+//! dropout masks ([`Tape::constant_with`]) and loss targets. Each op writes
+//! its output through a tensor `_into` kernel.
+//!
+//! # Gradient pruning
+//!
+//! A node *needs a gradient* when a [`Param`] is among its inputs,
+//! directly or through other nodes. Constants, and everything computed
+//! only from constants, do not: they get no gradient buffer, and
+//! [`Tape::backward`] does no work for them (not even the input gradient
+//! of a first layer). Every node that does need a gradient receives the
+//! same contributions in the same order as without pruning, so parameter
+//! gradients are bit-identical.
+//!
+//! A gradient buffer is zeroed when the reverse pass first accumulates
+//! into it, not when its node is recorded. Nodes the pass never reaches,
+//! such as a generator's nodes behind a [`Var::detach`], cost neither a
+//! zero-fill nor a scan.
 
 use crate::param::Param;
 use kinet_tensor::Matrix;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cell::{Cell, RefCell};
 
-#[derive(Clone)]
 enum Op {
     Leaf,
     Param(Param),
@@ -25,8 +47,6 @@ enum Op {
     Matmul(usize, usize),
     Scale(usize, f32),
     AddScalar(usize),
-    AddConst(usize),
-    MulConst(usize, Rc<Matrix>),
     AddRow(usize, usize),
     SubRow(usize, usize),
     MulRow(usize, usize),
@@ -42,39 +62,103 @@ enum Op {
     Ln(usize),
     Sqrt(usize),
     Softmax(usize),
-    ConcatCols(Rc<Vec<usize>>),
+    /// The operands are the tape's list entries `start..end`.
+    ConcatCols(usize, usize),
     SliceCols(usize, usize, usize),
     Reshape(usize),
-    BceWithLogits(usize, Rc<Matrix>),
-    SoftmaxCrossEntropy(usize, Rc<Matrix>),
-    Mse(usize, Rc<Matrix>),
+    /// `(logits, constant target)`, as are the two losses below.
+    BceWithLogits(usize, usize),
+    SoftmaxCrossEntropy(usize, usize),
+    Mse(usize, usize),
 }
 
 struct Node {
     value: Matrix,
+    /// Sized only when `needs_grad`, and zeroed on the reverse pass's first
+    /// accumulation into it ([`grad_of`]); until then it holds stale values.
     grad: Matrix,
     op: Op,
+    needs_grad: bool,
+    /// Whether the reverse pass has accumulated into `grad` yet.
+    touched: bool,
+}
+
+impl Default for Node {
+    fn default() -> Self {
+        Node {
+            value: Matrix::default(),
+            grad: Matrix::default(),
+            op: Op::Leaf,
+            needs_grad: false,
+            touched: false,
+        }
+    }
 }
 
 /// A computation graph recording forward operations for reverse-mode
 /// differentiation.
 ///
-/// See the [crate-level docs](crate) for an end-to-end example.
+/// See the [crate-level docs](crate) for an end-to-end example. A tape is
+/// meant to live as long as its training loop: [`Tape::reset`] clears the
+/// graph but keeps every node's buffers for the next pass. Constants, and
+/// nodes computed only from constants, need no gradient and get none.
 #[derive(Default)]
 pub struct Tape {
+    /// Node slots; those at and past `live` are spare buffers.
     nodes: RefCell<Vec<Node>>,
+    live: Cell<usize>,
+    /// Node-index lists: concatenation operands and [`VarList`]s.
+    lists: RefCell<Vec<usize>>,
 }
 
 /// A handle to a node on a [`Tape`].
 ///
-/// `Var` is `Copy`; all arithmetic methods allocate a new node and return a
+/// `Var` is `Copy`; all arithmetic methods record a new node and return a
 /// new handle. Mixing `Var`s from different tapes is a logic error and will
-/// panic (on an index out of bounds) or silently corrupt gradients; each
-/// training step should use exactly one tape.
+/// panic (on an index out of bounds) or silently corrupt gradients.
 #[derive(Clone, Copy)]
 pub struct Var<'t> {
     tape: &'t Tape,
     idx: usize,
+}
+
+/// A list of nodes kept on the tape, so a pass can hand several nodes
+/// around without allocating a `Vec` (see [`Tape::list`]).
+#[derive(Clone, Copy)]
+pub struct VarList<'t> {
+    tape: &'t Tape,
+    start: usize,
+    len: usize,
+}
+
+impl<'t> VarList<'t> {
+    /// Number of nodes in the list.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the list holds no node.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> Var<'t> {
+        assert!(i < self.len, "list index {i} out of range {}", self.len);
+        Var {
+            tape: self.tape,
+            idx: self.tape.lists.borrow()[self.start + i],
+        }
+    }
+
+    /// The nodes in order.
+    pub fn iter(self) -> impl Iterator<Item = Var<'t>> {
+        (0..self.len).map(move |i| self.get(i))
+    }
 }
 
 impl Tape {
@@ -85,62 +169,121 @@ impl Tape {
 
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
-        self.nodes.borrow().len()
+        self.live.get()
     }
 
     /// `true` when no node has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.nodes.borrow().is_empty()
+        self.len() == 0
     }
 
-    fn push(&self, value: Matrix, op: Op) -> usize {
-        let mut nodes = self.nodes.borrow_mut();
-        let grad = Matrix::zeros(value.rows(), value.cols());
-        nodes.push(Node { value, grad, op });
-        nodes.len() - 1
-    }
-
-    fn value_of(&self, idx: usize) -> Matrix {
-        self.nodes.borrow()[idx].value.clone()
-    }
-
-    /// Computes a new value from one node's value without cloning it.
-    fn with_value<R>(&self, idx: usize, f: impl FnOnce(&Matrix) -> R) -> R {
-        f(&self.nodes.borrow()[idx].value)
-    }
-
-    /// Computes a new value from two nodes' values without cloning them.
-    fn with_values<R>(&self, a: usize, b: usize, f: impl FnOnce(&Matrix, &Matrix) -> R) -> R {
-        let nodes = self.nodes.borrow();
-        f(&nodes[a].value, &nodes[b].value)
-    }
-
-    /// Registers a constant (non-differentiable) input.
-    pub fn constant(&self, value: Matrix) -> Var<'_> {
-        Var {
-            tape: self,
-            idx: self.push(value, Op::Leaf),
+    /// Clears the graph for the next pass while keeping every slot's value
+    /// and gradient buffer (and the list storage) for reuse. Taking
+    /// `&mut self` guarantees no [`Var`] of the old graph survives.
+    pub fn reset(&mut self) {
+        let live = self.live.replace(0);
+        for node in &mut self.nodes.get_mut()[..live] {
+            // Releases the parameter handles the old graph held.
+            node.op = Op::Leaf;
         }
+        self.lists.get_mut().clear();
     }
 
-    /// Registers a trainable parameter; its gradient is filled in by
-    /// [`Tape::backward`].
+    /// Records `op` in the next slot; it needs a gradient when it is a
+    /// parameter or one of its `inputs` needs one. `forward` gets the
+    /// earlier nodes and the slot's reused value buffer, and must write the
+    /// whole output (the `_into` kernels resize their output themselves).
+    fn push(
+        &self,
+        op: Op,
+        inputs: &[usize],
+        forward: impl FnOnce(&[Node], &mut Matrix),
+    ) -> Var<'_> {
+        let mut nodes = self.nodes.borrow_mut();
+        let idx = self.live.get();
+        if idx == nodes.len() {
+            nodes.push(Node::default());
+        }
+        let (head, tail) = nodes.split_at_mut(idx);
+        let needs_grad = matches!(op, Op::Param(_)) || inputs.iter().any(|&p| head[p].needs_grad);
+        let node = &mut tail[0];
+        forward(head, &mut node.value);
+        if needs_grad {
+            let (rows, cols) = node.value.shape();
+            node.grad.resize(rows, cols);
+        }
+        node.op = op;
+        node.needs_grad = needs_grad;
+        node.touched = false;
+        self.live.set(idx + 1);
+        Var { tape: self, idx }
+    }
+
+    /// Registers a constant (non-differentiable) input, copied into the
+    /// next slot's buffer.
+    pub fn constant(&self, value: &Matrix) -> Var<'_> {
+        self.push(Op::Leaf, &[], |_, out| out.copy_from(value))
+    }
+
+    /// Registers a `rows × cols` constant that `fill` writes in place
+    /// (starting from zeros) — for random draws such as noise and dropout
+    /// masks, which then need no buffer of their own.
+    pub fn constant_with(
+        &self,
+        rows: usize,
+        cols: usize,
+        fill: impl FnOnce(&mut Matrix),
+    ) -> Var<'_> {
+        self.push(Op::Leaf, &[], |_, out| {
+            out.resize(rows, cols);
+            out.as_mut_slice().fill(0.0);
+            fill(out);
+        })
+    }
+
+    /// Registers a trainable parameter, copying its current value; its
+    /// gradient is filled in by [`Tape::backward`].
     pub fn param(&self, p: &Param) -> Var<'_> {
-        Var {
+        self.push(Op::Param(p.clone()), &[], |_, out| {
+            p.with_value(|v| out.copy_from(v))
+        })
+    }
+
+    /// Stores `vars` as a [`VarList`] on the tape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if producing the items records another list or
+    /// concatenation (the list must be contiguous).
+    pub fn list<'t>(&'t self, vars: impl IntoIterator<Item = Var<'t>>) -> VarList<'t> {
+        let start = self.lists.borrow().len();
+        let mut len = 0;
+        for v in vars {
+            let mut lists = self.lists.borrow_mut();
+            assert_eq!(
+                lists.len(),
+                start + len,
+                "a tape list was interleaved with another"
+            );
+            lists.push(v.idx);
+            len += 1;
+        }
+        VarList {
             tape: self,
-            idx: self.push(p.value(), Op::Param(p.clone())),
+            start,
+            len,
         }
     }
 
     /// Runs the reverse pass from `loss`, which must be a `1 × 1` scalar
     /// node, accumulating gradients into every [`Param`] on the tape.
     ///
-    /// The pass is allocation-free: every node's gradient buffer was
-    /// preallocated when the node was pushed, and each rule accumulates
-    /// directly into the parents' buffers through fused in-place kernels
-    /// (`add_assign`/`add_assign_zip_map`/`matmul_*_acc`) instead of the
-    /// old clone-then-`add_assign_scaled(…, 1.0)` pattern. Summation order
-    /// per element is unchanged, so fixed-seed trajectories are preserved.
+    /// The pass is allocation-free: every gradient buffer was sized when
+    /// its node was recorded, and each rule accumulates directly into the
+    /// parents' buffers through fused in-place kernels
+    /// (`add_assign`/`add_assign_zip_map`/`matmul_*_acc`). Nodes that need
+    /// no gradient (no [`Param`] among their inputs) are skipped, as are
+    /// nodes nothing reached and nodes whose gradient is all zero.
     ///
     /// # Panics
     ///
@@ -154,85 +297,126 @@ impl Tape {
                 (1, 1),
                 "backward target must be a 1x1 scalar"
             );
+            if !l.needs_grad {
+                return;
+            }
             l.grad.as_mut_slice().fill(1.0);
+            l.touched = true;
         }
-        for i in (0..nodes.len()).rev() {
+        let lists = self.lists.borrow();
+        for i in (0..self.live.get()).rev() {
             // Operands always precede results, so `head` holds every parent
             // of `node` and the borrows are disjoint.
             let (head, tail) = nodes.split_at_mut(i);
             let node = &tail[0];
-            if node.grad.as_slice().iter().all(|&v| v == 0.0) {
+            // Nothing reached an untouched node, so its gradient is zero
+            // without looking at the (stale) buffer.
+            if !node.touched || node.grad.as_slice().iter().all(|&v| v == 0.0) {
                 continue;
             }
             let g = &node.grad;
             let out = &node.value;
+            // A node that needs a gradient has at least one parent that
+            // does; the rules below skip the parents that do not.
             match &node.op {
                 Op::Leaf => {}
                 Op::Param(p) => p.accumulate_grad(g),
                 Op::Add(a, b) => {
-                    head[*a].grad.add_assign(g);
-                    head[*b].grad.add_assign(g);
+                    if head[*a].needs_grad {
+                        grad_of(&mut head[*a]).add_assign(g);
+                    }
+                    if head[*b].needs_grad {
+                        grad_of(&mut head[*b]).add_assign(g);
+                    }
                 }
                 Op::Sub(a, b) => {
-                    head[*a].grad.add_assign(g);
-                    head[*b].grad.add_assign_scaled(g, -1.0);
+                    if head[*a].needs_grad {
+                        grad_of(&mut head[*a]).add_assign(g);
+                    }
+                    if head[*b].needs_grad {
+                        grad_of(&mut head[*b]).add_assign_scaled(g, -1.0);
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let (ga, vb) = grad_value_mut(head, *a, *b);
-                    ga.add_assign_zip_map(g, vb, |gi, vi| gi * vi);
-                    let (gb, va) = grad_value_mut(head, *b, *a);
-                    gb.add_assign_zip_map(g, va, |gi, vi| gi * vi);
+                    if head[*a].needs_grad {
+                        let (ga, vb) = grad_value_mut(head, *a, *b);
+                        ga.add_assign_zip_map(g, vb, |gi, vi| gi * vi);
+                    }
+                    if head[*b].needs_grad {
+                        let (gb, va) = grad_value_mut(head, *b, *a);
+                        gb.add_assign_zip_map(g, va, |gi, vi| gi * vi);
+                    }
                 }
                 Op::Div(a, b) => {
-                    let (ga, vb) = grad_value_mut(head, *a, *b);
-                    ga.add_assign_zip_map(g, vb, |gi, vi| gi / vi);
-                    let (gb, vb) = grad_value_mut(head, *b, *b);
-                    gb.add_assign_zip3_map(g, out, vb, |gi, oi, vi| -((gi * oi) / vi));
+                    if head[*a].needs_grad {
+                        let (ga, vb) = grad_value_mut(head, *a, *b);
+                        ga.add_assign_zip_map(g, vb, |gi, vi| gi / vi);
+                    }
+                    if head[*b].needs_grad {
+                        let (gb, vb) = grad_value_mut(head, *b, *b);
+                        gb.add_assign_zip3_map(g, out, vb, |gi, oi, vi| -((gi * oi) / vi));
+                    }
                 }
-                Op::Neg(a) => head[*a].grad.add_assign_scaled(g, -1.0),
+                Op::Neg(a) => grad_of(&mut head[*a]).add_assign_scaled(g, -1.0),
                 Op::Matmul(a, b) => {
-                    let (ga, vb) = grad_value_mut(head, *a, *b);
-                    ga.matmul_nt_acc(g, vb);
-                    let (gb, va) = grad_value_mut(head, *b, *a);
-                    gb.matmul_tn_acc(va, g);
+                    if head[*a].needs_grad {
+                        let (ga, vb) = grad_value_mut(head, *a, *b);
+                        ga.matmul_nt_acc(g, vb);
+                    }
+                    if head[*b].needs_grad {
+                        let (gb, va) = grad_value_mut(head, *b, *a);
+                        gb.matmul_tn_acc(va, g);
+                    }
                 }
-                Op::Scale(a, s) => head[*a].grad.add_assign_scaled(g, *s),
-                Op::AddScalar(a) => head[*a].grad.add_assign(g),
-                Op::AddConst(a) => head[*a].grad.add_assign(g),
-                Op::MulConst(a, c) => {
-                    head[*a].grad.add_assign_zip_map(g, c, |gi, ci| gi * ci);
-                }
+                Op::Scale(a, s) => grad_of(&mut head[*a]).add_assign_scaled(g, *s),
+                Op::AddScalar(a) => grad_of(&mut head[*a]).add_assign(g),
                 Op::AddRow(a, r) => {
-                    head[*a].grad.add_assign(g);
-                    acc_col_sums(&mut head[*r].grad, g, 1.0);
+                    if head[*a].needs_grad {
+                        grad_of(&mut head[*a]).add_assign(g);
+                    }
+                    if head[*r].needs_grad {
+                        acc_col_sums(grad_of(&mut head[*r]), g, 1.0);
+                    }
                 }
                 Op::SubRow(a, r) => {
-                    head[*a].grad.add_assign(g);
-                    acc_col_sums(&mut head[*r].grad, g, -1.0);
+                    if head[*a].needs_grad {
+                        grad_of(&mut head[*a]).add_assign(g);
+                    }
+                    if head[*r].needs_grad {
+                        acc_col_sums(grad_of(&mut head[*r]), g, -1.0);
+                    }
                 }
                 Op::MulRow(a, r) => {
-                    let (ga, vr) = grad_value_mut(head, *a, *r);
-                    acc_row_broadcast(ga, g, vr, |gi, ri| gi * ri);
-                    let (gr, va) = grad_value_mut(head, *r, *a);
-                    acc_col_sums_prod(gr, g, va, 1.0);
+                    if head[*a].needs_grad {
+                        let (ga, vr) = grad_value_mut(head, *a, *r);
+                        acc_row_broadcast(ga, g, vr, |gi, ri| gi * ri);
+                    }
+                    if head[*r].needs_grad {
+                        let (gr, va) = grad_value_mut(head, *r, *a);
+                        acc_col_sums_prod(gr, g, va, 1.0);
+                    }
                 }
                 Op::DivRow(a, r) => {
-                    let (ga, vr) = grad_value_mut(head, *a, *r);
-                    acc_row_broadcast(ga, g, vr, |gi, ri| gi / ri);
-                    let (gr, vr) = grad_value_mut(head, *r, *r);
-                    // d/dr = -Σ_rows (g ⊙ out) / r, column-wise.
-                    for c in 0..g.cols() {
-                        let rv = vr.as_slice()[c];
-                        let mut sum = 0.0f32;
-                        for row in 0..g.rows() {
-                            let idx = row * g.cols() + c;
-                            sum += (g.as_slice()[idx] * out.as_slice()[idx]) / rv;
+                    if head[*a].needs_grad {
+                        let (ga, vr) = grad_value_mut(head, *a, *r);
+                        acc_row_broadcast(ga, g, vr, |gi, ri| gi / ri);
+                    }
+                    if head[*r].needs_grad {
+                        let (gr, vr) = grad_value_mut(head, *r, *r);
+                        // d/dr = -Σ_rows (g ⊙ out) / r, column-wise.
+                        for c in 0..g.cols() {
+                            let rv = vr.as_slice()[c];
+                            let mut sum = 0.0f32;
+                            for row in 0..g.rows() {
+                                let idx = row * g.cols() + c;
+                                sum += (g.as_slice()[idx] * out.as_slice()[idx]) / rv;
+                            }
+                            gr.as_mut_slice()[c] += -sum;
                         }
-                        gr.as_mut_slice()[c] += -sum;
                     }
                 }
                 Op::MeanRows(a) => {
-                    let ga = &mut head[*a].grad;
+                    let ga = grad_of(&mut head[*a]);
                     let inv = 1.0 / ga.rows() as f32;
                     let gs = g.as_slice();
                     for r in 0..ga.rows() {
@@ -243,12 +427,12 @@ impl Tape {
                 }
                 Op::Sum(a) => {
                     let gv = g[(0, 0)];
-                    for o in head[*a].grad.as_mut_slice() {
+                    for o in grad_of(&mut head[*a]).as_mut_slice() {
                         *o += gv;
                     }
                 }
                 Op::Mean(a) => {
-                    let ga = &mut head[*a].grad;
+                    let ga = grad_of(&mut head[*a]);
                     let gv = g[(0, 0)] / ga.len() as f32;
                     for o in ga.as_mut_slice() {
                         *o += gv;
@@ -264,29 +448,26 @@ impl Tape {
                     ga.add_assign_zip_map(g, va, |gi, vi| if vi > 0.0 { gi } else { gi * alpha });
                 }
                 Op::Tanh(a) => {
-                    head[*a]
-                        .grad
+                    grad_of(&mut head[*a])
                         .add_assign_zip_map(g, out, |gi, oi| gi * (1.0 - oi * oi));
                 }
                 Op::Sigmoid(a) => {
-                    head[*a]
-                        .grad
+                    grad_of(&mut head[*a])
                         .add_assign_zip_map(g, out, |gi, oi| gi * oi * (1.0 - oi));
                 }
                 Op::Exp(a) => {
-                    head[*a].grad.add_assign_zip_map(g, out, |gi, oi| gi * oi);
+                    grad_of(&mut head[*a]).add_assign_zip_map(g, out, |gi, oi| gi * oi);
                 }
                 Op::Ln(a) => {
                     let (ga, va) = grad_value_mut(head, *a, *a);
                     ga.add_assign_zip_map(g, va, |gi, vi| gi / vi.max(LN_EPS));
                 }
                 Op::Sqrt(a) => {
-                    head[*a]
-                        .grad
+                    grad_of(&mut head[*a])
                         .add_assign_zip_map(g, out, |gi, oi| gi * 0.5 / oi.max(1e-6));
                 }
                 Op::Softmax(a) => {
-                    let ga = &mut head[*a].grad;
+                    let ga = grad_of(&mut head[*a]);
                     for r in 0..out.rows() {
                         let orow = out.row(r);
                         let grow = g.row(r);
@@ -296,11 +477,15 @@ impl Tape {
                         }
                     }
                 }
-                Op::ConcatCols(parents) => {
+                Op::ConcatCols(start, end) => {
                     let mut offset = 0;
-                    for &p in parents.iter() {
+                    for &p in &lists[*start..*end] {
                         let w = head[p].value.cols();
-                        let pg = &mut head[p].grad;
+                        if !head[p].needs_grad {
+                            offset += w;
+                            continue;
+                        }
+                        let pg = grad_of(&mut head[p]);
                         for r in 0..pg.rows() {
                             let gsrc = &g.row(r)[offset..offset + w];
                             for (o, &gv) in pg.row_mut(r).iter_mut().zip(gsrc) {
@@ -311,7 +496,7 @@ impl Tape {
                     }
                 }
                 Op::SliceCols(a, start, end) => {
-                    let ga = &mut head[*a].grad;
+                    let ga = grad_of(&mut head[*a]);
                     for r in 0..ga.rows() {
                         let dst = &mut ga.row_mut(r)[*start..*end];
                         for (o, &gv) in dst.iter_mut().zip(g.row(r)) {
@@ -322,20 +507,20 @@ impl Tape {
                 Op::Reshape(a) => {
                     // Same element order, different shape: accumulate
                     // buffer-to-buffer.
-                    let ga = &mut head[*a].grad;
+                    let ga = grad_of(&mut head[*a]);
                     for (o, &gv) in ga.as_mut_slice().iter_mut().zip(g.as_slice()) {
                         *o += gv;
                     }
                 }
-                Op::BceWithLogits(a, target) => {
+                Op::BceWithLogits(a, t) => {
                     let gv = g[(0, 0)];
-                    let (ga, va) = grad_value_mut(head, *a, *a);
+                    let (ga, va, target) = grad_value_target(head, *a, *t);
                     let n = va.len() as f32;
                     ga.add_assign_zip_map(va, target, |x, t| (sigmoid_scalar(x) - t) * gv / n);
                 }
-                Op::SoftmaxCrossEntropy(a, target) => {
+                Op::SoftmaxCrossEntropy(a, t) => {
                     let gv = g[(0, 0)];
-                    let (ga, va) = grad_value_mut(head, *a, *a);
+                    let (ga, va, target) = grad_value_target(head, *a, *t);
                     let n = va.rows() as f32;
                     for r in 0..va.rows() {
                         let varow = va.row(r);
@@ -347,9 +532,9 @@ impl Tape {
                         }
                     }
                 }
-                Op::Mse(a, target) => {
+                Op::Mse(a, t) => {
                     let gv = g[(0, 0)];
-                    let (ga, va) = grad_value_mut(head, *a, *a);
+                    let (ga, va, target) = grad_value_target(head, *a, *t);
                     let n = va.len() as f32;
                     ga.add_assign_zip_map(va, target, |x, t| 2.0 * (x - t) * gv / n);
                 }
@@ -358,19 +543,54 @@ impl Tape {
     }
 }
 
-/// Disjoint borrows of `nodes[gi].grad` (mutable) and `nodes[vi].value`
-/// (shared); `gi == vi` is legal because the fields are distinct.
+/// The gradient buffer of a node the reverse pass accumulates into:
+/// zeroed on the first accumulation, so nodes nothing reaches (such as the
+/// generator's nodes in a D step) are never zeroed or scanned.
+fn grad_of(node: &mut Node) -> &mut Matrix {
+    touch(&mut node.grad, &mut node.touched)
+}
+
+fn touch<'a>(grad: &'a mut Matrix, touched: &mut bool) -> &'a mut Matrix {
+    if !*touched {
+        grad.as_mut_slice().fill(0.0);
+        *touched = true;
+    }
+    grad
+}
+
+/// Disjoint borrows of `nodes[gi]`'s gradient (mutable, via [`grad_of`])
+/// and `nodes[vi].value` (shared); `gi == vi` is legal because the fields
+/// are distinct.
 fn grad_value_mut(nodes: &mut [Node], gi: usize, vi: usize) -> (&mut Matrix, &Matrix) {
     if gi == vi {
-        let Node { grad, value, .. } = &mut nodes[gi];
-        (grad, value)
+        let Node {
+            grad,
+            value,
+            touched,
+            ..
+        } = &mut nodes[gi];
+        (touch(grad, touched), value)
     } else if gi < vi {
         let (l, r) = nodes.split_at_mut(vi);
-        (&mut l[gi].grad, &r[0].value)
+        (grad_of(&mut l[gi]), &r[0].value)
     } else {
         let (l, r) = nodes.split_at_mut(gi);
-        (&mut r[0].grad, &l[vi].value)
+        (grad_of(&mut r[0]), &l[vi].value)
     }
+}
+
+/// Disjoint borrows of a loss input's gradient and value and of its
+/// constant target (which never needs a gradient, so `t != a`).
+fn grad_value_target(nodes: &mut [Node], a: usize, t: usize) -> (&mut Matrix, &Matrix, &Matrix) {
+    debug_assert!(a < t, "a loss target is recorded after its input");
+    let (l, r) = nodes.split_at_mut(t);
+    let Node {
+        grad,
+        value,
+        touched,
+        ..
+    } = &mut l[a];
+    (touch(grad, touched), value, &r[0].value)
 }
 
 /// `dst[0][c] += s * Σ_r g[r][c]`, rows summed in ascending order — the
@@ -424,7 +644,7 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 }
 
 /// Row max and exponential sum — the shared numerics behind every softmax
-/// in this module. [`softmax_forward`] and the `SoftmaxCrossEntropy`
+/// in this module. [`softmax_into`] and the `SoftmaxCrossEntropy`
 /// backward rule both derive probabilities as `(x - max).exp() / sum` from
 /// this helper, keeping the two paths in bitwise lockstep.
 fn softmax_row_max_sum(row: &[f32]) -> (f32, f32) {
@@ -436,8 +656,8 @@ fn softmax_row_max_sum(row: &[f32]) -> (f32, f32) {
     (max, sum)
 }
 
-fn softmax_forward(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
+fn softmax_into(m: &Matrix, out: &mut Matrix) {
+    out.copy_from(m);
     for r in 0..out.rows() {
         let row = out.row_mut(r);
         let (max, sum) = softmax_row_max_sum(row);
@@ -445,7 +665,6 @@ fn softmax_forward(m: &Matrix) -> Matrix {
             *v = (*v - max).exp() / sum;
         }
     }
-    out
 }
 
 // The arithmetic methods intentionally mirror `Matrix`'s inherent
@@ -453,277 +672,363 @@ fn softmax_forward(m: &Matrix) -> Matrix {
 // tape nodes are `Copy` handles and the graph DSL reads as method chains.
 #[allow(clippy::should_implement_trait)]
 impl<'t> Var<'t> {
+    /// The tape this node lives on.
+    pub(crate) fn tape(&self) -> &'t Tape {
+        self.tape
+    }
+
     /// Clones this node's current value.
     pub fn value(&self) -> Matrix {
-        self.tape.value_of(self.idx)
+        self.with_value(Matrix::clone)
+    }
+
+    /// Reads this node's value without cloning it.
+    pub(crate) fn with_value<R>(&self, f: impl FnOnce(&Matrix) -> R) -> R {
+        f(&self.tape.nodes.borrow()[self.idx].value)
+    }
+
+    /// The value of a `1 × 1` node, such as a loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is not `1 × 1`.
+    pub fn scalar(&self) -> f32 {
+        self.with_value(|v| {
+            assert_eq!(v.shape(), (1, 1), "scalar() of a {:?} node", v.shape());
+            v[(0, 0)]
+        })
     }
 
     /// `(rows, cols)` of this node's value.
     pub fn shape(&self) -> (usize, usize) {
-        self.tape.nodes.borrow()[self.idx].value.shape()
+        self.with_value(Matrix::shape)
     }
 
     /// Clones this node's accumulated gradient (meaningful after
-    /// [`Tape::backward`]).
+    /// [`Tape::backward`]). A node the reverse pass did not reach, such as
+    /// a constant, reports zeros.
     pub fn grad(&self) -> Matrix {
-        self.tape.nodes.borrow()[self.idx].grad.clone()
+        let nodes = self.tape.nodes.borrow();
+        let node = &nodes[self.idx];
+        if node.touched {
+            node.grad.clone()
+        } else {
+            Matrix::zeros(node.value.rows(), node.value.cols())
+        }
     }
 
-    fn unary(self, value: Matrix, op: Op) -> Var<'t> {
-        Var {
-            tape: self.tape,
-            idx: self.tape.push(value, op),
-        }
+    fn unary(self, op: Op, f: impl FnOnce(&Matrix, &mut Matrix)) -> Var<'t> {
+        let a = self.idx;
+        self.tape.push(op, &[a], |n, out| f(&n[a].value, out))
+    }
+
+    fn binary(
+        self,
+        other: Var<'t>,
+        op: Op,
+        f: impl FnOnce(&Matrix, &Matrix, &mut Matrix),
+    ) -> Var<'t> {
+        let (a, b) = (self.idx, other.idx);
+        self.tape
+            .push(op, &[a, b], |n, out| f(&n[a].value, &n[b].value, out))
     }
 
     /// Element-wise sum.
     pub fn add(self, other: Var<'t>) -> Var<'t> {
-        let v = self.tape.with_values(self.idx, other.idx, |a, b| a.add(b));
-        self.unary(v, Op::Add(self.idx, other.idx))
+        self.binary(other, Op::Add(self.idx, other.idx), |a, b, out| {
+            a.zip_map_into(b, out, |x, y| x + y)
+        })
     }
 
     /// Element-wise difference.
     pub fn sub(self, other: Var<'t>) -> Var<'t> {
-        let v = self.tape.with_values(self.idx, other.idx, |a, b| a.sub(b));
-        self.unary(v, Op::Sub(self.idx, other.idx))
+        self.binary(other, Op::Sub(self.idx, other.idx), |a, b, out| {
+            a.zip_map_into(b, out, |x, y| x - y)
+        })
     }
 
     /// Element-wise product.
     pub fn mul(self, other: Var<'t>) -> Var<'t> {
-        let v = self.tape.with_values(self.idx, other.idx, |a, b| a.mul(b));
-        self.unary(v, Op::Mul(self.idx, other.idx))
+        self.binary(other, Op::Mul(self.idx, other.idx), |a, b, out| {
+            a.zip_map_into(b, out, |x, y| x * y)
+        })
     }
 
     /// Element-wise quotient.
     pub fn div(self, other: Var<'t>) -> Var<'t> {
-        let v = self.tape.with_values(self.idx, other.idx, |a, b| a.div(b));
-        self.unary(v, Op::Div(self.idx, other.idx))
+        self.binary(other, Op::Div(self.idx, other.idx), |a, b, out| {
+            a.zip_map_into(b, out, |x, y| x / y)
+        })
     }
 
     /// Negation.
     pub fn neg(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.scale(-1.0));
-        self.unary(v, Op::Neg(self.idx))
+        self.unary(Op::Neg(self.idx), |a, out| a.map_into(out, |v| -v))
     }
 
     /// Matrix product `self · other`.
     pub fn matmul(self, other: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, other.idx, |a, b| a.matmul(b));
-        self.unary(v, Op::Matmul(self.idx, other.idx))
+        self.binary(other, Op::Matmul(self.idx, other.idx), |a, b, out| {
+            a.matmul_into(b, out)
+        })
     }
 
     /// Multiplies every element by `s`.
     pub fn scale(self, s: f32) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.scale(s));
-        self.unary(v, Op::Scale(self.idx, s))
+        self.unary(Op::Scale(self.idx, s), |a, out| a.map_into(out, |v| v * s))
     }
 
     /// Adds `s` to every element.
     pub fn add_scalar(self, s: f32) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.add_scalar(s));
-        self.unary(v, Op::AddScalar(self.idx))
+        self.unary(Op::AddScalar(self.idx), |a, out| a.map_into(out, |v| v + s))
     }
 
     /// Adds a constant matrix (no gradient flows into it).
     pub fn add_const(self, c: &Matrix) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.add(c));
-        self.unary(v, Op::AddConst(self.idx))
+        self.add(self.tape.constant(c))
     }
 
-    /// Multiplies element-wise by a constant matrix (e.g. a dropout mask).
+    /// Multiplies element-wise by a constant matrix.
     pub fn mul_const(self, c: &Matrix) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.mul(c));
-        self.unary(v, Op::MulConst(self.idx, Rc::new(c.clone())))
+        self.mul(self.tape.constant(c))
     }
 
     /// Adds a `1 × cols` row node to every row.
     pub fn add_row(self, row: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, row.idx, |a, r| a.add_row_broadcast(r));
-        self.unary(v, Op::AddRow(self.idx, row.idx))
+        self.binary(row, Op::AddRow(self.idx, row.idx), |a, r, out| {
+            a.broadcast_row_into(r, out, |x, y| x + y)
+        })
     }
 
     /// Subtracts a `1 × cols` row node from every row.
     pub fn sub_row(self, row: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, row.idx, |a, r| a.sub_row_broadcast(r));
-        self.unary(v, Op::SubRow(self.idx, row.idx))
+        self.binary(row, Op::SubRow(self.idx, row.idx), |a, r, out| {
+            a.broadcast_row_into(r, out, |x, y| x - y)
+        })
     }
 
     /// Multiplies every row element-wise by a `1 × cols` row node.
     pub fn mul_row(self, row: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, row.idx, |a, r| a.mul_row_broadcast(r));
-        self.unary(v, Op::MulRow(self.idx, row.idx))
+        self.binary(row, Op::MulRow(self.idx, row.idx), |a, r, out| {
+            a.broadcast_row_into(r, out, |x, y| x * y)
+        })
     }
 
     /// Divides every row element-wise by a `1 × cols` row node.
     pub fn div_row(self, row: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, row.idx, |a, r| a.div_row_broadcast(r));
-        self.unary(v, Op::DivRow(self.idx, row.idx))
+        self.binary(row, Op::DivRow(self.idx, row.idx), |a, r, out| {
+            a.broadcast_row_into(r, out, |x, y| x / y)
+        })
     }
 
     /// Column-wise mean as a `1 × cols` node.
     pub fn mean_rows(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.mean_rows());
-        self.unary(v, Op::MeanRows(self.idx))
+        self.unary(Op::MeanRows(self.idx), |a, out| a.mean_rows_into(out))
     }
 
     /// Sum of all elements as a `1 × 1` node.
     pub fn sum(self) -> Var<'t> {
-        let v = Matrix::full(1, 1, self.tape.with_value(self.idx, |a| a.sum()));
-        self.unary(v, Op::Sum(self.idx))
+        self.unary(Op::Sum(self.idx), |a, out| set_scalar(out, a.sum()))
     }
 
     /// Mean of all elements as a `1 × 1` node.
     pub fn mean(self) -> Var<'t> {
-        let v = Matrix::full(1, 1, self.tape.with_value(self.idx, |a| a.mean()));
-        self.unary(v, Op::Mean(self.idx))
+        self.unary(Op::Mean(self.idx), |a, out| set_scalar(out, a.mean()))
     }
 
     /// Rectified linear unit.
     pub fn relu(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.map(|x| x.max(0.0)));
-        self.unary(v, Op::Relu(self.idx))
+        self.unary(Op::Relu(self.idx), |a, out| a.map_into(out, |x| x.max(0.0)))
     }
 
     /// Leaky ReLU with slope `alpha` for negative inputs.
     pub fn leaky_relu(self, alpha: f32) -> Var<'t> {
-        let v = self
-            .tape
-            .with_value(self.idx, |a| a.map(|x| if x > 0.0 { x } else { alpha * x }));
-        self.unary(v, Op::LeakyRelu(self.idx, alpha))
+        self.unary(Op::LeakyRelu(self.idx, alpha), |a, out| {
+            a.map_into(out, |x| if x > 0.0 { x } else { alpha * x })
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.map(f32::tanh));
-        self.unary(v, Op::Tanh(self.idx))
+        self.unary(Op::Tanh(self.idx), |a, out| a.map_into(out, f32::tanh))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.map(sigmoid_scalar));
-        self.unary(v, Op::Sigmoid(self.idx))
+        self.unary(Op::Sigmoid(self.idx), |a, out| {
+            a.map_into(out, sigmoid_scalar)
+        })
     }
 
     /// Element-wise exponential.
     pub fn exp(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.map(f32::exp));
-        self.unary(v, Op::Exp(self.idx))
+        self.unary(Op::Exp(self.idx), |a, out| a.map_into(out, f32::exp))
     }
 
     /// Element-wise natural log, clamped below at a small epsilon.
     pub fn ln(self) -> Var<'t> {
-        let v = self
-            .tape
-            .with_value(self.idx, |a| a.map(|x| x.max(LN_EPS).ln()));
-        self.unary(v, Op::Ln(self.idx))
+        self.unary(Op::Ln(self.idx), |a, out| {
+            a.map_into(out, |x| x.max(LN_EPS).ln())
+        })
     }
 
     /// Element-wise square root, clamped below at zero.
     pub fn sqrt(self) -> Var<'t> {
-        let v = self
-            .tape
-            .with_value(self.idx, |a| a.map(|x| x.max(0.0).sqrt()));
-        self.unary(v, Op::Sqrt(self.idx))
+        self.unary(Op::Sqrt(self.idx), |a, out| {
+            a.map_into(out, |x| x.max(0.0).sqrt())
+        })
     }
 
     /// Row-wise softmax.
     pub fn softmax(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, softmax_forward);
-        self.unary(v, Op::Softmax(self.idx))
+        self.unary(Op::Softmax(self.idx), softmax_into)
     }
 
     /// Concatenates `vars` along columns (all must share the row count and
-    /// live on the same tape).
+    /// live on the same tape). The operand list is kept on the tape, so
+    /// `vars` may be a lazy iterator that records the operands itself.
     ///
     /// # Panics
     ///
     /// Panics if `vars` is empty or row counts differ.
-    pub fn concat_cols(vars: &[Var<'t>]) -> Var<'t> {
-        assert!(!vars.is_empty(), "concat of zero vars");
-        let values: Vec<Matrix> = vars.iter().map(|v| v.value()).collect();
-        let refs: Vec<&Matrix> = values.iter().collect();
-        let v = Matrix::hstack(&refs);
-        let tape = vars[0].tape;
-        let idxs: Vec<usize> = vars.iter().map(|v| v.idx).collect();
-        Var {
-            tape,
-            idx: tape.push(v, Op::ConcatCols(Rc::new(idxs))),
-        }
+    pub fn concat_cols(vars: impl IntoIterator<Item = Var<'t>>) -> Var<'t> {
+        let mut vars = vars.into_iter().peekable();
+        let tape = vars.peek().expect("concat of zero vars").tape;
+        let list = tape.list(vars);
+        let (start, end) = (list.start, list.start + list.len);
+        let lists = tape.lists.borrow();
+        let parents = &lists[start..end];
+        tape.push(Op::ConcatCols(start, end), parents, |n, out| {
+            let rows = n[parents[0]].value.rows();
+            let cols = parents.iter().map(|&p| n[p].value.cols()).sum();
+            out.resize(rows, cols);
+            let mut offset = 0;
+            for &p in parents {
+                let v = &n[p].value;
+                assert_eq!(
+                    v.rows(),
+                    rows,
+                    "hstack row mismatch: {} vs {rows}",
+                    v.rows()
+                );
+                for r in 0..rows {
+                    out.row_mut(r)[offset..offset + v.cols()].copy_from_slice(v.row(r));
+                }
+                offset += v.cols();
+            }
+        })
     }
 
     /// Copies the column range `[start, end)` as a new node.
     pub fn slice_cols(self, start: usize, end: usize) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.slice_cols(start, end));
-        self.unary(v, Op::SliceCols(self.idx, start, end))
+        self.unary(Op::SliceCols(self.idx, start, end), |a, out| {
+            a.slice_cols_into(start, end, out)
+        })
     }
 
     /// Reshapes to `rows × cols` (same element count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element count differs.
     pub fn reshape(self, rows: usize, cols: usize) -> Var<'t> {
-        let v = self.value().reshape(rows, cols);
-        self.unary(v, Op::Reshape(self.idx))
+        self.unary(Op::Reshape(self.idx), |a, out| {
+            assert_eq!(
+                a.len(),
+                rows * cols,
+                "cannot reshape {}x{} into {rows}x{cols}",
+                a.rows(),
+                a.cols()
+            );
+            out.copy_from(a);
+            out.resize(rows, cols);
+        })
+    }
+
+    /// A constant copy of this node's value: gradients stop here, so
+    /// nothing upstream of it takes part in the reverse pass.
+    pub fn detach(self) -> Var<'t> {
+        let a = self.idx;
+        self.tape
+            .push(Op::Leaf, &[], |n, out| out.copy_from(&n[a].value))
+    }
+
+    /// Records a loss node over these logits and the constant `target`,
+    /// its value computed by `total` from both.
+    fn loss(
+        self,
+        target: Var<'t>,
+        op: Op,
+        what: &str,
+        total: impl FnOnce(&Matrix, &Matrix) -> f32,
+    ) -> Var<'t> {
+        self.binary(target, op, |va, target, out| {
+            assert_eq!(va.shape(), target.shape(), "{what} target shape mismatch");
+            set_scalar(out, total(va, target))
+        })
     }
 
     /// Mean binary-cross-entropy between these logits and constant targets,
     /// as a `1 × 1` node (numerically stable log-sum-exp form).
     pub fn bce_with_logits(self, target: &Matrix) -> Var<'t> {
-        let va = self.value();
-        assert_eq!(va.shape(), target.shape(), "bce target shape mismatch");
-        let total: f32 = va
-            .as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(&x, &t)| x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln())
-            .sum();
-        let v = Matrix::full(1, 1, total / va.len() as f32);
-        self.unary(v, Op::BceWithLogits(self.idx, Rc::new(target.clone())))
+        self.bce_with_logits_node(self.tape.constant(target))
+    }
+
+    /// [`Var::bce_with_logits`] against targets already on the tape, such
+    /// as a [`Tape::constant_with`] fill. `target` must be a constant: no
+    /// gradient flows into it.
+    pub(crate) fn bce_with_logits_node(self, target: Var<'t>) -> Var<'t> {
+        let op = Op::BceWithLogits(self.idx, target.idx);
+        self.loss(target, op, "bce", |va, target| {
+            let total: f32 = va
+                .as_slice()
+                .iter()
+                .zip(target.as_slice())
+                .map(|(&x, &t)| x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln())
+                .sum();
+            total / va.len() as f32
+        })
     }
 
     /// Mean softmax cross-entropy between these logits and constant one-hot
     /// (or soft) targets, as a `1 × 1` node.
     pub fn softmax_cross_entropy(self, target: &Matrix) -> Var<'t> {
-        let va = self.value();
-        assert_eq!(
-            va.shape(),
-            target.shape(),
-            "cross-entropy target shape mismatch"
-        );
-        let probs = softmax_forward(&va);
-        let mut total = 0.0;
-        for r in 0..va.rows() {
-            for (p, t) in probs.row(r).iter().zip(target.row(r)) {
-                total -= t * p.max(LN_EPS).ln();
+        let t = self.tape.constant(target);
+        let op = Op::SoftmaxCrossEntropy(self.idx, t.idx);
+        self.loss(t, op, "cross-entropy", |va, target| {
+            let mut total = 0.0;
+            for r in 0..va.rows() {
+                let row = va.row(r);
+                let (max, sum) = softmax_row_max_sum(row);
+                for (&x, &t) in row.iter().zip(target.row(r)) {
+                    let p = (x - max).exp() / sum;
+                    total -= t * p.max(LN_EPS).ln();
+                }
             }
-        }
-        let v = Matrix::full(1, 1, total / va.rows() as f32);
-        self.unary(
-            v,
-            Op::SoftmaxCrossEntropy(self.idx, Rc::new(target.clone())),
-        )
+            total / va.rows() as f32
+        })
     }
 
     /// Mean squared error against constant targets as a `1 × 1` node.
     pub fn mse(self, target: &Matrix) -> Var<'t> {
-        let va = self.value();
-        assert_eq!(va.shape(), target.shape(), "mse target shape mismatch");
-        let total: f32 = va
-            .as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(&x, &t)| (x - t) * (x - t))
-            .sum();
-        let v = Matrix::full(1, 1, total / va.len() as f32);
-        self.unary(v, Op::Mse(self.idx, Rc::new(target.clone())))
+        let t = self.tape.constant(target);
+        let op = Op::Mse(self.idx, t.idx);
+        self.loss(t, op, "mse", |va, target| {
+            let total: f32 = va
+                .as_slice()
+                .iter()
+                .zip(target.as_slice())
+                .map(|(&x, &t)| (x - t) * (x - t))
+                .sum();
+            total / va.len() as f32
+        })
     }
+}
+
+/// Writes `v` as a `1 × 1` value.
+fn set_scalar(out: &mut Matrix, v: f32) {
+    out.resize(1, 1);
+    out.as_mut_slice()[0] = v;
 }
 
 impl std::fmt::Debug for Var<'_> {
@@ -739,7 +1044,7 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     fn scalar(tape: &Tape, v: f32) -> Var<'_> {
-        tape.constant(Matrix::full(1, 1, v))
+        tape.constant(&Matrix::full(1, 1, v))
     }
 
     #[test]
@@ -773,7 +1078,7 @@ mod tests {
     fn matmul_gradient_matches_manual() {
         let tape = Tape::new();
         let pw = Param::new(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let x = tape.constant(Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]));
+        let x = tape.constant(&Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]));
         let w = tape.param(&pw);
         let loss = x.matmul(w).sum();
         tape.backward(loss);
@@ -784,7 +1089,7 @@ mod tests {
     #[test]
     fn activation_values() {
         let tape = Tape::new();
-        let x = tape.constant(Matrix::row_vector(&[-1.0, 0.0, 2.0]));
+        let x = tape.constant(&Matrix::row_vector(&[-1.0, 0.0, 2.0]));
         assert_eq!(x.relu().value().as_slice(), &[0.0, 0.0, 2.0]);
         assert_eq!(x.leaky_relu(0.1).value().as_slice(), &[-0.1, 0.0, 2.0]);
         let s = x.sigmoid().value();
@@ -796,7 +1101,7 @@ mod tests {
     #[test]
     fn softmax_rows_sum_to_one() {
         let tape = Tape::new();
-        let x = tape.constant(Matrix::from_rows(&[
+        let x = tape.constant(&Matrix::from_rows(&[
             &[1.0, 2.0, 3.0],
             &[1000.0, 1000.0, 1000.0],
         ]));
@@ -816,7 +1121,7 @@ mod tests {
         // loss = sum(x + b) where b is 1x2 and x is 3x2 -> db = [3, 3]
         let tape = Tape::new();
         let pb = Param::new(Matrix::row_vector(&[0.5, -0.5]));
-        let x = tape.constant(Matrix::ones(3, 2));
+        let x = tape.constant(&Matrix::ones(3, 2));
         let loss = x.add_row(tape.param(&pb)).sum();
         tape.backward(loss);
         assert_eq!(pb.grad().as_slice(), &[3.0, 3.0]);
@@ -829,7 +1134,7 @@ mod tests {
         let pb = Param::new(Matrix::ones(2, 3));
         let a = tape.param(&pa);
         let b = tape.param(&pb);
-        let cat = Var::concat_cols(&[a, b]);
+        let cat = Var::concat_cols([a, b]);
         assert_eq!(cat.shape(), (2, 5));
         // only the second half contributes
         let loss = cat.slice_cols(2, 5).sum();
@@ -885,7 +1190,7 @@ mod tests {
 
         let loss_value = |pw: &Param, backward: bool| -> f32 {
             let tape = Tape::new();
-            let out = tape.constant(x.clone()).matmul(tape.param(pw)).tanh();
+            let out = tape.constant(&x).matmul(tape.param(pw)).tanh();
             let loss = out.mse(&t);
             if backward {
                 tape.backward(loss);
@@ -910,8 +1215,52 @@ mod tests {
         let loss = tape.param(&p).mul(c).sum();
         tape.backward(loss);
         assert_eq!(p.grad()[(0, 0)], 10.0);
-        assert_eq!(c.grad()[(0, 0)], 10.0 - 10.0 + 2.0); // constant grad is tracked on-tape…
-                                                         // …but constants have no Param cell, so nothing persists beyond the tape.
+        // No parameter depends on a constant, so the reverse pass computes
+        // no gradient for it.
+        assert_eq!(c.grad(), Matrix::zeros(1, 1));
+    }
+
+    #[test]
+    fn a_reset_tape_reproduces_a_fresh_one_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let pw = Param::new(Matrix::randn(3, 4, 0.0, 0.5, &mut rng));
+        let x = Matrix::randn(6, 3, 0.0, 1.0, &mut rng);
+        let t = Matrix::randn(6, 4, 0.0, 1.0, &mut rng);
+        let pass = |tape: &Tape| {
+            let h = tape.constant(&x).matmul(tape.param(&pw)).tanh();
+            let loss = Var::concat_cols([h, h.sigmoid()]).slice_cols(2, 6).mse(&t);
+            tape.backward(loss);
+            let out = (loss.scalar(), pw.grad());
+            pw.zero_grad();
+            out
+        };
+        let fresh = pass(&Tape::new());
+        let mut tape = Tape::new();
+        // A differently shaped graph first, so every slot holds stale data.
+        let junk = tape
+            .constant(&Matrix::ones(9, 9))
+            .mul_const(&Matrix::full(9, 9, 3.0));
+        tape.backward(junk.add(tape.param(&Param::new(Matrix::ones(9, 9)))).sum());
+        tape.reset();
+        assert!(tape.is_empty());
+        let reused = pass(&tape);
+        assert_eq!(fresh.0.to_bits(), reused.0.to_bits());
+        assert_eq!(fresh.1, reused.1);
+    }
+
+    #[test]
+    fn detach_stops_the_reverse_pass() {
+        let tape = Tape::new();
+        let (pa, pb) = (
+            Param::new(Matrix::full(1, 1, 3.0)),
+            Param::new(Matrix::full(1, 1, 4.0)),
+        );
+        let a = tape.param(&pa);
+        let loss = a.mul(a).detach().mul(tape.param(&pb)).sum();
+        assert_eq!(loss.scalar(), 36.0);
+        tape.backward(loss);
+        assert_eq!(pa.grad()[(0, 0)], 0.0);
+        assert_eq!(pb.grad()[(0, 0)], 9.0);
     }
 
     #[test]
@@ -929,7 +1278,7 @@ mod tests {
     #[should_panic(expected = "scalar")]
     fn backward_rejects_non_scalar() {
         let tape = Tape::new();
-        let x = tape.constant(Matrix::ones(2, 2));
+        let x = tape.constant(&Matrix::ones(2, 2));
         tape.backward(x);
     }
 

@@ -3,7 +3,7 @@
 //! finite differences. This is the strongest correctness guarantee the
 //! autograd engine has.
 
-use kinet_nn::{gradient_check, Param, Tape};
+use kinet_nn::{gradient_check, Param, Tape, Var};
 use kinet_tensor::{Matrix, MatrixRandomExt};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -13,7 +13,7 @@ use rand::{rngs::StdRng, SeedableRng};
 fn forward(op: usize, p: &Param, x: &Matrix, t: &Matrix, backward: bool) -> f32 {
     let tape = Tape::new();
     let w = tape.param(p);
-    let xc = tape.constant(x.clone());
+    let xc = tape.constant(x);
     let out = match op {
         0 => xc.matmul(w).tanh(),
         1 => xc.matmul(w).sigmoid(),
@@ -40,6 +40,18 @@ fn forward(op: usize, p: &Param, x: &Matrix, t: &Matrix, backward: bool) -> f32 
         tape.backward(loss);
     }
     loss.value()[(0, 0)]
+}
+
+/// A graph with its constant inputs `x` and `mask` in every operand
+/// position: either side of a product, sum or quotient, a matmul's left
+/// side, a row broadcast computed only from constants, a concatenation
+/// and a loss. `w` is the one parameter.
+fn mixed_graph<'t>(w: Var<'t>, x: Var<'t>, mask: Var<'t>, t: &Matrix) -> Var<'t> {
+    let h = x.matmul(w);
+    let h = h.mul(mask).add(x.mul(h.tanh()));
+    let h = h.div(mask.add_scalar(2.0)).sub(x);
+    let centered = h.sub_row(x.mean_rows());
+    Var::concat_cols([centered, x, h.sigmoid()]).mse(t)
 }
 
 proptest! {
@@ -74,7 +86,7 @@ proptest! {
         let t = Matrix::zeros(6, 4);
         let run = |backward: bool| -> f32 {
             let tape = Tape::new();
-            let out = tape.constant(x.clone()).add_row(tape.param(&bias)).tanh();
+            let out = tape.constant(&x).add_row(tape.param(&bias)).tanh();
             let loss = out.mse(&t);
             if backward {
                 tape.backward(loss);
@@ -96,7 +108,7 @@ proptest! {
         let t = Matrix::zeros(8, 3);
         let run = |backward: bool| -> f32 {
             let tape = Tape::new();
-            let xv = tape.constant(x.clone());
+            let xv = tape.constant(&x);
             let mu = xv.mean_rows();
             let centered = xv.sub_row(mu);
             let var = centered.mul(centered).mean_rows();
@@ -132,7 +144,7 @@ proptest! {
         };
         let run = |backward: bool| -> f32 {
             let tape = Tape::new();
-            let logits = tape.constant(x.clone()).matmul(tape.param(&p));
+            let logits = tape.constant(&x).matmul(tape.param(&p));
             let loss = match loss_kind {
                 0 => logits.softmax_cross_entropy(&t),
                 1 => logits.bce_with_logits(&t),
@@ -148,5 +160,31 @@ proptest! {
         p.zero_grad();
         let max_diff = gradient_check(&p, || run(false), &analytic, 5e-3);
         prop_assert!(max_diff < 2e-2, "loss {loss_kind}: grad diff {max_diff}");
+    }
+
+    #[test]
+    fn pruning_constants_leaves_parameter_gradients_bit_equal(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w = Param::new(Matrix::randn(3, 3, 0.0, 0.5, &mut rng));
+        let x = Matrix::randn(5, 3, 0.0, 0.8, &mut rng);
+        let mask = Matrix::randn(5, 3, 1.0, 0.3, &mut rng);
+        let t = Matrix::randn(5, 9, 0.0, 0.5, &mut rng);
+
+        // Pruned: `x` and `mask` are constants, so the reverse pass does
+        // no work for them or for anything computed only from them.
+        let tape = Tape::new();
+        tape.backward(mixed_graph(tape.param(&w), tape.constant(&x), tape.constant(&mask), &t));
+        let pruned = w.grad();
+        w.zero_grad();
+
+        // Unpruned: the same values as trainable parameters, so every
+        // node of the graph computes its gradient.
+        let (px, pm) = (Param::new(x.clone()), Param::new(mask.clone()));
+        let tape = Tape::new();
+        tape.backward(mixed_graph(tape.param(&w), tape.param(&px), tape.param(&pm), &t));
+        prop_assert!(px.grad().frobenius_norm() > 0.0 && pm.grad().frobenius_norm() > 0.0);
+
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&pruned), bits(&w.grad()));
     }
 }

@@ -296,15 +296,46 @@ impl Matrix {
     ///
     /// Panics if `start > end` or `end > self.cols()`.
     pub fn slice_cols(&self, start: usize, end: usize) -> Matrix {
+        let mut out = Matrix::default();
+        self.slice_cols_into(start, end, &mut out);
+        out
+    }
+
+    /// Copies the column range `[start, end)` into `out`, resizing it to
+    /// `self.rows() × (end - start)` — the reusable-buffer counterpart of
+    /// [`Matrix::slice_cols`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > end` or `end > self.cols()`.
+    pub fn slice_cols_into(&self, start: usize, end: usize, out: &mut Matrix) {
         assert!(
             start <= end && end <= self.cols,
             "invalid column slice {start}..{end}"
         );
-        let mut out = Matrix::zeros(self.rows, end - start);
+        out.resize(self.rows, end - start);
         for r in 0..self.rows {
             out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
         }
-        out
+    }
+
+    /// Resizes to `rows × cols` in place, keeping the allocation whenever
+    /// its capacity suffices. Like `Vec::resize`, elements that stay keep
+    /// their values and new ones are zero; the `_into` kernels call this
+    /// and then overwrite every element.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Makes `self` an exact copy of `src`, reusing this matrix's
+    /// allocation (a `clone` that does not allocate once warm).
+    pub fn copy_from(&mut self, src: &Matrix) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
     }
 
     /// Copies the row range `[start, end)` into a new matrix.

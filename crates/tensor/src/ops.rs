@@ -57,11 +57,18 @@ impl Matrix {
 
     /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix::from_vec(
-            self.rows(),
-            self.cols(),
-            self.as_slice().iter().map(|&v| f(v)).collect(),
-        )
+        let mut out = Matrix::default();
+        self.map_into(&mut out, f);
+        out
+    }
+
+    /// Writes `f` of every element into `out`, resizing it to this shape —
+    /// the reusable-buffer counterpart of [`Matrix::map`].
+    pub fn map_into(&self, out: &mut Matrix, f: impl Fn(f32) -> f32) {
+        out.resize(self.rows(), self.cols());
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(self.as_slice()) {
+            *o = f(v);
+        }
     }
 
     /// Applies `f` to every element in place.
@@ -77,6 +84,18 @@ impl Matrix {
     ///
     /// Panics on shape mismatch.
     pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        let mut out = Matrix::default();
+        self.zip_map_into(other, &mut out, f);
+        out
+    }
+
+    /// Writes `f(self, other)` element-wise into `out`, resizing it to this
+    /// shape — the reusable-buffer counterpart of [`Matrix::zip_map`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn zip_map_into(&self, other: &Matrix, out: &mut Matrix, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(
             self.shape(),
             other.shape(),
@@ -84,15 +103,15 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        Matrix::from_vec(
-            self.rows(),
-            self.cols(),
-            self.as_slice()
-                .iter()
-                .zip(other.as_slice())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        )
+        out.resize(self.rows(), self.cols());
+        for ((o, &a), &b) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(self.as_slice())
+            .zip(other.as_slice())
+        {
+            *o = f(a, b);
+        }
     }
 
     /// Accumulates `other * s` into `self` (axpy), in place.
@@ -239,6 +258,18 @@ impl Matrix {
     }
 
     fn broadcast_row(&self, row: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        let mut out = Matrix::default();
+        self.broadcast_row_into(row, &mut out, f);
+        out
+    }
+
+    /// Writes `f(self[r][c], row[0][c])` into `out`, resizing it to this
+    /// shape — the reusable-buffer form of the `*_row_broadcast` family.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.rows() != 1` or column counts differ.
+    pub fn broadcast_row_into(&self, row: &Matrix, out: &mut Matrix, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(
             row.rows(),
             1,
@@ -252,14 +283,13 @@ impl Matrix {
             self.cols(),
             row.cols()
         );
-        let mut out = self.clone();
+        out.resize(self.rows(), self.cols());
         let rv = row.as_slice();
-        for r in 0..out.rows() {
-            for (c, v) in out.row_mut(r).iter_mut().enumerate() {
-                *v = f(*v, rv[c]);
+        for r in 0..self.rows() {
+            for ((o, &v), &rc) in out.row_mut(r).iter_mut().zip(self.row(r)).zip(rv) {
+                *o = f(v, rc);
             }
         }
-        out
     }
 
     /// Matrix product `self · other` via the packed, cache-tiled,
@@ -269,6 +299,19 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// Writes `self · other` into `out`, resizing it to
+    /// `self.rows() × other.cols()` — the reusable-buffer counterpart of
+    /// [`Matrix::matmul`], bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.rows()`.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols(),
             other.rows(),
@@ -277,7 +320,7 @@ impl Matrix {
             other.shape()
         );
         let (n, k, m) = (self.rows(), self.cols(), other.cols());
-        let mut out = Matrix::zeros(n, m);
+        out.resize(n, m);
         kernel::gemm(
             out.as_mut_slice(),
             n,
@@ -289,7 +332,6 @@ impl Matrix {
             Trans::No,
             false,
         );
-        out
     }
 
     /// `selfᵀ · other` without materializing the transpose (it is absorbed

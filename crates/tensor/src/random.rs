@@ -43,16 +43,24 @@ pub trait MatrixRandomExt: Sized {
     /// activations (shape `fan_in × fan_out`).
     fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Self;
 
-    /// Bernoulli 0/1 mask with `P(1) = keep_prob`, scaled by
-    /// `1 / keep_prob` (inverted dropout convention).
+    /// Matrix of standard Gumbel(0, 1) noise, used by Gumbel-Softmax heads.
+    fn gumbel(rows: usize, cols: usize, rng: &mut impl Rng) -> Self;
+
+    /// Overwrites every element with `N(mean, std²)` draws, consuming `rng`
+    /// exactly as [`MatrixRandomExt::randn`] does for the same shape.
+    fn fill_randn(&mut self, mean: f32, std: f32, rng: &mut impl Rng);
+
+    /// Overwrites every element with an inverted-dropout mask draw: a
+    /// Bernoulli 0/1 mask with `P(1) = keep_prob`, scaled by `1 / keep_prob`.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < keep_prob <= 1`.
-    fn dropout_mask(rows: usize, cols: usize, keep_prob: f32, rng: &mut impl Rng) -> Self;
+    fn fill_dropout_mask(&mut self, keep_prob: f32, rng: &mut impl Rng);
 
-    /// Matrix of standard Gumbel(0, 1) noise, used by Gumbel-Softmax heads.
-    fn gumbel(rows: usize, cols: usize, rng: &mut impl Rng) -> Self;
+    /// Overwrites every element with Gumbel(0, 1) noise, consuming `rng`
+    /// exactly as [`MatrixRandomExt::gumbel`].
+    fn fill_gumbel(&mut self, rng: &mut impl Rng);
 }
 
 impl MatrixRandomExt for Matrix {
@@ -61,18 +69,9 @@ impl MatrixRandomExt for Matrix {
     }
 
     fn randn(rows: usize, cols: usize, mean: f32, std: f32, rng: &mut impl Rng) -> Self {
-        let n = rows * cols;
-        let mut data = Vec::with_capacity(n);
-        while data.len() + 1 < n {
-            let (a, b) = gaussian_pair(rng);
-            data.push(mean + std * a);
-            data.push(mean + std * b);
-        }
-        if data.len() < n {
-            let (a, _) = gaussian_pair(rng);
-            data.push(mean + std * a);
-        }
-        Matrix::from_vec(rows, cols, data)
+        let mut m = Matrix::zeros(rows, cols);
+        m.fill_randn(mean, std, rng);
+        m
     }
 
     fn glorot_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Self {
@@ -85,30 +84,48 @@ impl MatrixRandomExt for Matrix {
         Self::randn(fan_in, fan_out, 0.0, std, rng)
     }
 
-    fn dropout_mask(rows: usize, cols: usize, keep_prob: f32, rng: &mut impl Rng) -> Self {
+    fn gumbel(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
+        let mut m = Matrix::zeros(rows, cols);
+        m.fill_gumbel(rng);
+        m
+    }
+
+    fn fill_randn(&mut self, mean: f32, std: f32, rng: &mut impl Rng) {
+        // One Box–Muller pair per two elements, row-major; an odd tail
+        // uses the first draw of one more pair.
+        for pair in self.as_mut_slice().chunks_mut(2) {
+            let (a, b) = gaussian_pair(rng);
+            pair[0] = mean + std * a;
+            if let Some(second) = pair.get_mut(1) {
+                *second = mean + std * b;
+            }
+        }
+    }
+
+    fn fill_dropout_mask(&mut self, keep_prob: f32, rng: &mut impl Rng) {
         assert!(
             keep_prob > 0.0 && keep_prob <= 1.0,
             "keep_prob must be in (0, 1], got {keep_prob}"
         );
         let scale = 1.0 / keep_prob;
-        Matrix::from_fn(rows, cols, |_, _| {
-            if rng.random::<f32>() < keep_prob {
+        for v in self.as_mut_slice() {
+            *v = if rng.random::<f32>() < keep_prob {
                 scale
             } else {
                 0.0
-            }
-        })
+            };
+        }
     }
 
-    fn gumbel(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
-        Matrix::from_fn(rows, cols, |_, _| {
+    fn fill_gumbel(&mut self, rng: &mut impl Rng) {
+        for v in self.as_mut_slice() {
             // Clamp *both* tails: `random::<f32>()` can return exactly 0,
             // and `u = 1` would make `-ln(-ln(u)) = +inf` — one infinite
             // Gumbel draw poisons the softmax downstream and NaNs the
             // whole training step (observed roughly once per ~10⁷ draws).
             let u: f32 = (1.0f32 - rng.random::<f32>()).clamp(1e-12, 1.0 - 1e-7);
-            -(-u.ln()).ln()
-        })
+            *v = -(-u.ln()).ln();
+        }
     }
 }
 
@@ -171,7 +188,8 @@ mod tests {
     #[test]
     fn dropout_mask_values() {
         let mut rng = StdRng::seed_from_u64(6);
-        let m = Matrix::dropout_mask(100, 100, 0.8, &mut rng);
+        let mut m = Matrix::zeros(100, 100);
+        m.fill_dropout_mask(0.8, &mut rng);
         let scale = 1.0 / 0.8;
         for &v in m.as_slice() {
             assert!(v == 0.0 || (v - scale).abs() < 1e-6);
@@ -184,7 +202,7 @@ mod tests {
     #[should_panic(expected = "keep_prob")]
     fn dropout_rejects_zero_keep() {
         let mut rng = StdRng::seed_from_u64(7);
-        let _ = Matrix::dropout_mask(1, 1, 0.0, &mut rng);
+        Matrix::zeros(1, 1).fill_dropout_mask(0.0, &mut rng);
     }
 
     #[test]

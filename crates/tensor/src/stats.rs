@@ -65,8 +65,29 @@ impl Matrix {
     ///
     /// Panics when the matrix has zero rows.
     pub fn mean_rows(&self) -> Matrix {
+        let mut out = Matrix::default();
+        self.mean_rows_into(&mut out);
+        out
+    }
+
+    /// Writes the column-wise means into `out` as a `1 × cols` row — the
+    /// reusable-buffer counterpart of [`Matrix::mean_rows`], bit-identical
+    /// to it (column sums in ascending row order, then one scale).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix has zero rows.
+    pub fn mean_rows_into(&self, out: &mut Matrix) {
         assert!(self.rows() > 0, "mean_rows of matrix with zero rows");
-        self.sum_rows().scale(1.0 / self.rows() as f32)
+        out.resize(1, self.cols());
+        let sums = out.as_mut_slice();
+        sums.fill(0.0);
+        for r in 0..self.rows() {
+            for (o, &v) in sums.iter_mut().zip(self.row(r)) {
+                *o += v;
+            }
+        }
+        out.scale_inplace(1.0 / self.rows() as f32);
     }
 
     /// Column-wise population variances as a `1 × cols` row vector.

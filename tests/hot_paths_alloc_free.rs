@@ -1,7 +1,8 @@
 //! The allocation-free contract of the training and serving hot paths,
 //! proven by measurement: a counting global allocator wraps `System`,
 //! and each test asserts that a hot call makes zero heap allocations
-//! after one warm-up call.
+//! after one warm-up call, or that a whole run's count does not grow
+//! with the work it repeats (serving rows, training steps).
 //!
 //! Counters are per thread, so tests running in parallel never see each
 //! other's allocations. Every measurement runs under `with_threads(1)`:
@@ -17,6 +18,10 @@
 //! | `gemm_small` | `tensor/src/kernel.rs` | the same three products below `SMALL_FLOP_CUTOFF` |
 //! | `gather_rows_into` | `tensor/src/matrix.rs` | itself |
 //! | `backward` | `nn/src/tape.rs` | `Tape::backward` |
+//! | `push`, `reset` and every op's forward | `nn/src/tape.rs` | a KiNETGAN D+G step on a reset tape |
+//! | `clip_grad_norm` | `nn/src/param.rs` | the same step |
+//! | `train` | `core/src/model.rs` | `KinetGan::fit`: 2 more epochs add only their 2 report rows |
+//! | `sample_batch_into`, `write_row` | `data/src/sampler.rs`, `data/src/condition.rs` | the same fits |
 //! | `accumulate_grad` | `nn/src/param.rs` | `Tape::backward` (parameter leaves) |
 //! | `step` | `nn/src/optim.rs` | Adam and SGD-with-momentum `step` |
 //! | `apply_update` | `nn/src/param.rs` | Adam and SGD `step` |
@@ -31,12 +36,17 @@
 //! The disabled observability path (events and counters with no session
 //! open) is measured too: it must cost no allocation.
 
-use kinetgan_suite::data::transform::DataTransformer;
+use kinetgan_suite::data::synth::TabularSynthesizer;
+use kinetgan_suite::data::transform::{DataTransformer, HeadKind};
 use kinetgan_suite::datasets::lab::{LabSimConfig, LabSimulator};
 use kinetgan_suite::fleet::resilience::backoff_ticks;
 use kinetgan_suite::fleet::{ResilienceConfig, ServingModel, VirtualClock};
 use kinetgan_suite::model::pipeline::KgTrainPipeline;
+use kinetgan_suite::model::{
+    ConditionalGenerator, KinetGan, KinetGanConfig, KnowledgeDiscriminator, RecordDiscriminator,
+};
 use kinetgan_suite::nn::layers::{Linear, ResidualBlock};
+use kinetgan_suite::nn::loss::{gan_discriminator_loss, gan_generator_loss};
 use kinetgan_suite::nn::optim::{Adam, Optimizer, Sgd};
 use kinetgan_suite::nn::{ParamSet, Tape, Var};
 use kinetgan_suite::obs::{self, kv, metrics::SERVING_ROWS_SCORED, ObsConfig, Scope};
@@ -151,11 +161,11 @@ fn gan_like_loss<'t>(
     head: &Linear,
     critic: &Linear,
 ) -> Var<'t> {
-    let h = res.forward(tape, tape.constant(x.clone()), true);
+    let h = res.forward(tape, tape.constant(x), true);
     let out = head.forward(tape, h);
     let num = out.slice_cols(0, 4).tanh();
     let cat = out.slice_cols(4, 12).softmax();
-    let logits = critic.forward(tape, Var::concat_cols(&[num, cat]));
+    let logits = critic.forward(tape, Var::concat_cols([num, cat]));
     logits.bce_with_logits(&Matrix::ones(x.rows(), 1))
 }
 
@@ -263,4 +273,141 @@ fn serving_allocations_do_not_grow_with_the_batch() {
         "allocations per batch at 64/128/1024 rows: {counts:?}"
     );
     assert!(counts[0] <= 2, "allocations per batch: {counts:?}");
+}
+
+/// The pieces of one KiNETGAN training step, at the shape a lab device
+/// fit trains: batch 32, `small_shard` widths, dropout on both critics.
+struct GanStep {
+    generator: ConditionalGenerator,
+    d_m: RecordDiscriminator,
+    d_kg: KnowledgeDiscriminator,
+    g_opt: Adam,
+    d_opt: Adam,
+    c: Matrix,
+    real: Matrix,
+    head: usize,
+    target: Matrix,
+    rng: StdRng,
+}
+
+impl GanStep {
+    fn new() -> Self {
+        let mut rng = StdRng::seed_from_u64(21);
+        let table = lab_table(512, 5);
+        let transformer = DataTransformer::fit(&table, 4, 7).expect("non-empty table");
+        let encoded = transformer.transform(&table, &mut rng);
+        let (batch, cond) = (32, 6);
+        let generator = ConditionalGenerator::new(32, cond, &[64, 64], &transformer, &mut rng);
+        let d_m = RecordDiscriminator::new(transformer.width(), cond, &[64], 0.25, &mut rng);
+        let d_kg = KnowledgeDiscriminator::new(transformer.width(), &[64], 0.25, &mut rng);
+        let g_opt = Adam::with_betas(generator.params(), 5e-4, 0.5, 0.9);
+        let mut d_params = d_m.params();
+        d_params.extend(&d_kg.params());
+        let d_opt = Adam::with_betas(d_params, 5e-4, 0.5, 0.9);
+        let c = Matrix::from_fn(batch, cond, |r, j| f32::from(u8::from(r % cond == j)));
+        let rows: Vec<usize> = (0..batch).map(|i| (i * 13) % table.n_rows()).collect();
+        let real = encoded.select_rows(&rows);
+        let head = generator
+            .heads()
+            .iter()
+            .position(|h| h.kind == HeadKind::Softmax)
+            .expect("the lab schema has a categorical column");
+        let width = generator.heads()[head].width;
+        let target = Matrix::from_fn(batch, width, |r, j| f32::from(u8::from(r % width == j)));
+        Self {
+            generator,
+            d_m,
+            d_kg,
+            g_opt,
+            d_opt,
+            c,
+            real,
+            head,
+            target,
+            rng,
+        }
+    }
+
+    /// A D pass on detached fake rows, then a G pass with the condition
+    /// cross-entropy, each with backward, clipping and an Adam step.
+    fn run(&mut self, tape: &mut Tape) {
+        tape.reset();
+        let fake = self
+            .generator
+            .generate(tape, &self.c, 0.2, true, &mut self.rng)
+            .output
+            .detach();
+        let real = tape.constant(&self.real);
+        let d_real = self.d_m.forward(tape, real, &self.c, true, &mut self.rng);
+        let d_fake = self.d_m.forward(tape, fake, &self.c, true, &mut self.rng);
+        let kg_real = self.d_kg.forward(tape, real, true, &mut self.rng);
+        let kg_fake = self.d_kg.forward(tape, fake, true, &mut self.rng);
+        let loss = gan_discriminator_loss(d_real, d_fake, 0.9)
+            .add(gan_discriminator_loss(kg_real, kg_fake, 1.0));
+        black_box(loss.scalar());
+        tape.backward(loss);
+        self.d_opt.params().clip_grad_norm(1e-3);
+        self.d_opt.step();
+        self.d_opt.zero_grad();
+
+        tape.reset();
+        let fake = self
+            .generator
+            .generate(tape, &self.c, 0.2, true, &mut self.rng);
+        let d_fake = self
+            .d_m
+            .forward(tape, fake.output, &self.c, true, &mut self.rng);
+        let kg_fake = self.d_kg.forward(tape, fake.output, true, &mut self.rng);
+        let ce = fake
+            .head_logits
+            .get(self.head)
+            .softmax_cross_entropy(&self.target);
+        let loss = gan_generator_loss(d_fake.add(kg_fake)).add(ce);
+        black_box(loss.scalar());
+        tape.backward(loss);
+        self.g_opt.params().clip_grad_norm(1e-3);
+        self.g_opt.step();
+        self.g_opt.zero_grad();
+        self.d_opt.zero_grad();
+    }
+}
+
+#[test]
+fn a_gan_training_step_on_a_reset_tape_is_alloc_free() {
+    let mut step = GanStep::new();
+    let mut tape = Tape::new();
+    // A clipping norm this small clips every step, so the clip path runs.
+    assert_alloc_free("KiNETGAN D+G step", || step.run(&mut tape));
+}
+
+/// Heap allocations of one `small_shard` fit of a 500-row lab shard, on
+/// the calling thread at one kernel thread. Rejection resampling is off:
+/// the post-fit probe sample redraws each KG-invalid row, and how many
+/// rows the trained weights get wrong changes with the epoch count.
+fn fit_allocs(epochs: usize) -> u64 {
+    let shard = lab_table(500, 17);
+    let config = KinetGanConfig::small_shard()
+        .with_epochs(epochs)
+        .with_seed(3)
+        .with_rejection_rounds(0);
+    with_threads(1, || {
+        let mut model = KinetGan::new(config, LabSimulator::knowledge_graph());
+        allocs_in(|| model.fit(&shard).expect("training succeeds"))
+    })
+}
+
+#[test]
+fn fit_allocations_do_not_grow_with_the_step_count() {
+    // The first fit on a thread also grows the GEMM kernel's per-thread
+    // pack buffers.
+    fit_allocs(1);
+    let (two, four) = (fit_allocs(2), fit_allocs(4));
+    // 15 steps per epoch, so one allocation per step would add 30. Each
+    // epoch allocates just its report row of per-class condition counts
+    // (the loss rows' first push already reserves room for four epochs).
+    assert_eq!(
+        four,
+        two + 2,
+        "fit allocations at 2 and 4 epochs: {two} and {four}"
+    );
 }

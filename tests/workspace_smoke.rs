@@ -148,3 +148,33 @@ fn condition_balanced_trainer_is_thread_invariant() {
         assert_eq!(reference, run, "release changed at KINET_THREADS={threads}");
     }
 }
+
+#[test]
+fn release_bytes_are_pinned() {
+    // Absolute pins on the two releases above. The other tests compare a
+    // run with a run; these catch a change to any bit of training or
+    // sampling that stays self-consistent.
+    use kinetgan_suite::fleet::storage::fnv1a64;
+    for (name, bytes, len, hash) in [
+        (
+            "fast_demo",
+            train_and_release_csv(),
+            6111,
+            0xc1ac_d97f_7b7b_b533,
+        ),
+        (
+            "small_shard",
+            small_shard_release_csv(),
+            7714,
+            0x94a1_eca8_f9ea_3286,
+        ),
+    ] {
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (len, hash),
+            "{name} release bytes changed: {} B, fnv1a64 {:016x}",
+            bytes.len(),
+            fnv1a64(&bytes)
+        );
+    }
+}
