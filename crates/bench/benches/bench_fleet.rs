@@ -2,7 +2,8 @@
 //! growing devices × rows scales (shard generation, chunked windows,
 //! pooling, global evaluation — no GAN training, so the numbers isolate
 //! the orchestration subsystem itself), plus the chunked UNSW generator
-//! the out-of-core path rides on.
+//! the out-of-core path rides on, and the serving model's refit and
+//! per-batch scoring.
 //!
 //! The scaling curve lands in `target/experiments/BENCH_fleet.json`;
 //! `bench_gate` diffs it against `benches/baseline/BENCH_fleet.json`.
@@ -12,7 +13,7 @@ use kinet_data::stream::ChunkSource;
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 use kinet_datasets::unsw::{UnswSimConfig, UnswSimulator};
 use kinet_fleet::schedule::run_indexed_settled;
-use kinet_fleet::{FleetConfig, FleetSim, ServingModel, SharingPolicy};
+use kinet_fleet::{FleetConfig, FleetSim, ServingConfig, ServingModel, SharingPolicy};
 use std::time::Instant;
 
 fn fleet_config(devices: usize, rows: usize) -> FleetConfig {
@@ -140,10 +141,35 @@ fn bench_serving_under_training(c: &mut Criterion) {
     group.finish();
 }
 
+/// The serving model alone, at the shape the resident service and the
+/// `serve_under_train` workload use: one refit on a 2,000-row lab pool
+/// for the default 40 epochs, and one `score_batch` (encode + score) of a
+/// 128-row flow batch.
+fn bench_serving_model(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fleet");
+    group.sample_size(10);
+    let pool = LabSimulator::new(LabSimConfig::small(2_000, 42 ^ 0x5e7e))
+        .generate()
+        .expect("pool generation succeeds");
+    let epochs = ServingConfig::default().train_epochs;
+    group.bench_function("serving_train_2000x40", |b| {
+        b.iter(|| ServingModel::train(&pool, epochs, 42).expect("serving model trains"));
+    });
+    let model = ServingModel::train(&pool, epochs, 42).expect("serving model trains");
+    let flows = LabSimulator::new(LabSimConfig::small(128, 42 ^ 0xf10e))
+        .generate()
+        .expect("flow batch generation succeeds");
+    group.bench_function("serving_score_128", |b| {
+        b.iter(|| model.score_batch(&flows).expect("serving batch succeeds"));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fleet_scaling,
     bench_unsw_streaming,
-    bench_serving_under_training
+    bench_serving_under_training,
+    bench_serving_model
 );
 criterion_main!(benches);

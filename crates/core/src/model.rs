@@ -312,6 +312,10 @@ impl KinetGan {
                 // ---- generator step ----
                 {
                     tape.reset();
+                    // The critics score the generator but take no step
+                    // here, so their parameters enter as constants and the
+                    // reverse pass computes no gradient for them.
+                    tape.freeze(&d_params);
                     let fake = generator.generate(&tape, &c, cfg.tau, true, &mut rng);
                     let d_fake = d_m.forward(&tape, fake.output, &c, true, &mut rng);
                     // Eq. 3: D_C = D_KG + D_M (λ_kg scales the KG term)
@@ -359,7 +363,6 @@ impl KinetGan {
                     }
                     g_opt.step();
                     g_opt.zero_grad();
-                    d_opt.zero_grad(); // discard discriminator grads
                 }
             }
             report.d_loss.push(d_epoch / steps as f32);
@@ -671,6 +674,66 @@ mod tests {
             max_modes: 3,
             ..KinetGanConfig::default()
         }
+    }
+
+    /// The gradients of one generator pass of the training step — the
+    /// `D_M + λ·D_KG` score of the fake rows plus a condition
+    /// cross-entropy — with the critics live or frozen, as raw bits:
+    /// `(generator gradients, critic gradients)`.
+    fn generator_pass_grads(freeze: bool) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let data = tiny_data(200, 4);
+        let mut rng = StdRng::seed_from_u64(12);
+        let transformer = DataTransformer::fit(&data, 3, 5).unwrap();
+        let (batch, cond) = (16, 6);
+        let generator = ConditionalGenerator::new(16, cond, &[32], &transformer, &mut rng);
+        let d_m = RecordDiscriminator::new(transformer.width(), cond, &[32], 0.25, &mut rng);
+        let d_kg = KnowledgeDiscriminator::new(transformer.width(), &[32], 0.25, &mut rng);
+        let mut d_params = d_m.params();
+        d_params.extend(&d_kg.params());
+        let c = Matrix::from_fn(batch, cond, |r, j| f32::from(u8::from(r % cond == j)));
+        let head = generator
+            .heads()
+            .iter()
+            .position(|h| h.kind == kinet_data::transform::HeadKind::Softmax)
+            .unwrap();
+        let width = generator.heads()[head].width;
+        let target = Matrix::from_fn(batch, width, |r, j| f32::from(u8::from(r % width == j)));
+
+        let tape = Tape::new();
+        if freeze {
+            tape.freeze(&d_params);
+        }
+        let fake = generator.generate(&tape, &c, 0.2, true, &mut rng);
+        let d_fake = d_m.forward(&tape, fake.output, &c, true, &mut rng);
+        let kg_fake = d_kg.forward(&tape, fake.output, true, &mut rng);
+        let ce = fake.head_logits.get(head).softmax_cross_entropy(&target);
+        let loss = kinet_nn::loss::gan_generator_loss(d_fake.add(kg_fake.scale(0.5))).add(ce);
+        tape.backward(loss);
+        let bits = |set: &kinet_nn::ParamSet| -> Vec<Vec<u32>> {
+            set.iter()
+                .map(|p| p.grad().as_slice().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        (bits(&generator.params()), bits(&d_params))
+    }
+
+    #[test]
+    fn frozen_critics_leave_generator_gradients_bit_identical() {
+        let (g_live, d_live) = generator_pass_grads(false);
+        let (g_frozen, d_frozen) = generator_pass_grads(true);
+        assert_eq!(g_live, g_frozen, "generator gradients changed");
+        assert!(
+            g_frozen.iter().flatten().any(|&b| b != 0),
+            "the generator gets gradients"
+        );
+        assert!(
+            d_live.iter().flatten().any(|&b| b != 0),
+            "live critics get gradients"
+        );
+        assert!(
+            d_frozen.iter().flatten().all(|&b| b == 0),
+            "frozen critics get none"
+        );
     }
 
     #[test]

@@ -405,7 +405,10 @@ impl ServingEncoder {
         for (name, vocab) in &self.categorical {
             let values = table.cat_column(name)?;
             for (r, v) in values.iter().enumerate() {
-                if let Ok(i) = vocab.binary_search(v) {
+                // The vocabulary is sorted and distinct, so the first equal
+                // entry is the index `binary_search` finds; a short equality
+                // scan beats its string comparisons at vocabulary sizes.
+                if let Some(i) = vocab.iter().position(|s| s == v) {
                     out[r * w + offset + i] = 1.0;
                 }
             }
@@ -471,6 +474,16 @@ pub struct ServingModel {
 impl ServingModel {
     /// Trains both pooled models on a committed round's pool. Full-batch
     /// gradient descent, single-threaded, deterministic in `seed`.
+    ///
+    /// Accumulator contract: every forward value keeps one accumulator,
+    /// updated in ascending feature order from a fixed start, so the
+    /// weights are bit-identical to a row-at-a-time loop. The weights only
+    /// change between epochs, so each epoch first runs every row's
+    /// forward in lane layout (`write_lanes`: rows are the lanes, eight
+    /// independent chains per block), then folds the gradients in row
+    /// order per element. A class logit is `b + dot` and the drift probe's
+    /// pre-activation is `dot + bias`, where `dot` starts from `-0.0`,
+    /// the start `Iterator::sum` folds from.
     pub fn train(pool: &Table, epochs: usize, seed: u64) -> Result<Self, FleetError> {
         if pool.n_rows() == 0 {
             return Err(FleetError::Internal(
@@ -484,23 +497,41 @@ impl ServingModel {
         let n = pool.n_rows();
         let features = encoder.encode_table(pool)?;
         let targets = encoder.label_indices(pool)?;
+        // Feature-major copy of the pool: lane `r` is row `r`.
+        let n_pad = padded_lanes(n);
+        let mut real_lanes = vec![0.0; n_pad * w];
+        write_lanes(features.chunks_exact(w.max(1)), w, &mut real_lanes);
 
         // Multinomial logistic classifier.
         let mut class_weights = vec![0.0; k * w];
         let mut class_bias = vec![0.0; k];
         let mut probs = vec![0.0; k];
+        // Class `c`'s dots for every row, at `c * n_pad + r`.
+        let mut dots = vec![0.0; k * n_pad];
         let lr = 0.5;
         for _ in 0..epochs {
+            dots.fill(-0.0);
+            for (acc, row) in dots
+                .chunks_exact_mut(n_pad)
+                .zip(class_weights.chunks_exact(w.max(1)))
+            {
+                accumulate_lanes(acc, &real_lanes, row);
+            }
             let mut grad_w = vec![0.0; k * w];
             let mut grad_b = vec![0.0; k];
             for r in 0..n {
                 let x = &features[r * w..(r + 1) * w];
-                softmax_into(&class_weights, &class_bias, x, w, &mut probs);
+                for (c, p) in probs.iter_mut().enumerate() {
+                    *p = class_bias[c] + dots[c * n_pad + r];
+                }
+                softmax_in_place(&mut probs);
                 probs[targets[r]] -= 1.0;
-                for (c, p) in probs.iter().enumerate() {
-                    grad_b[c] += p;
-                    for (j, xv) in x.iter().enumerate() {
-                        grad_w[c * w + j] += p * xv;
+                for (gb, p) in grad_b.iter_mut().zip(&probs) {
+                    *gb += p;
+                }
+                for (gw, p) in grad_w.chunks_exact_mut(w.max(1)).zip(&probs) {
+                    for (g, xv) in gw.iter_mut().zip(x) {
+                        *g += p * xv;
                     }
                 }
             }
@@ -516,19 +547,26 @@ impl ServingModel {
         // Discriminator: real pool (1) vs column-shuffled pool (0).
         let shuffled = column_shuffle(pool, seed ^ 0x0d15_c0de)?;
         let fake = encoder.encode_table(&shuffled)?;
+        let mut fake_lanes = vec![0.0; n_pad * w];
+        write_lanes(fake.chunks_exact(w.max(1)), w, &mut fake_lanes);
         let mut disc_weights = vec![0.0; w];
         let mut disc_bias = 0.0;
+        // The probe's dot for row `r` is lane `r` of one class's buffer.
+        let dots = &mut dots[..n_pad];
         for _ in 0..epochs {
             let mut grad_w = vec![0.0; w];
             let mut grad_b = 0.0;
-            for (rows, target) in [(&features, 1.0), (&fake, 0.0)] {
+            for (rows, lanes, target) in [(&features, &real_lanes, 1.0), (&fake, &fake_lanes, 0.0)]
+            {
+                dots.fill(-0.0);
+                accumulate_lanes(dots, lanes, &disc_weights);
                 for r in 0..n {
                     let x = &rows[r * w..(r + 1) * w];
-                    let p = sigmoid(dot(&disc_weights, x) + disc_bias);
+                    let p = sigmoid(dots[r] + disc_bias);
                     let err = p - target;
                     grad_b += err;
-                    for (j, xv) in x.iter().enumerate() {
-                        grad_w[j] += err * xv;
+                    for (g, xv) in grad_w.iter_mut().zip(x) {
+                        *g += err * xv;
                     }
                 }
             }
@@ -555,16 +593,17 @@ impl ServingModel {
         })
     }
 
-    /// Scores one flow batch: encodes (allocating) then runs the hot
-    /// allocation-free row loop.
+    /// Scores one flow batch: encodes (allocating), sizes the scorer's
+    /// scratch (allocating), then runs the hot allocation-free row loop.
     pub fn score_batch(&self, flows: &Table) -> Result<(usize, usize, f64), FleetError> {
         let n = flows.n_rows();
         if n == 0 {
             return Ok((0, 0, 0.0));
         }
+        let width = self.encoder.width();
         let features = self.encoder.encode_table(flows)?;
-        let mut logits = vec![0.0; self.encoder.labels.len()];
-        let totals = self.score_rows(&features, n, self.encoder.width(), &mut logits)?;
+        let mut scratch = vec![0.0; score_scratch_len(self.encoder.labels.len(), width)];
+        let totals = self.score_rows(&features, n, width, &mut scratch)?;
         Ok((n, totals.attack_flagged, totals.disc_sum / n as f64))
     }
 
@@ -576,39 +615,65 @@ impl ServingModel {
     /// panic-path audit): the shapes are checked once up front as a typed
     /// error, and the row loop itself walks exact-chunk iterators instead
     /// of indexing.
+    ///
+    /// Accumulator contract: each class logit and the discriminator score
+    /// of a row is one accumulator lane that starts from its bias and adds
+    /// `w_j · x_j` in ascending `j`, exactly as a row-at-a-time dot would;
+    /// only which accumulators are in flight together differs. `scratch`
+    /// (sized by [`score_scratch_len`]) receives the batch's feature-major
+    /// weight copy, so all lanes of a row advance together. Lane `c <
+    /// classes` is class `c`, lane `classes` the discriminator. `disc_sum`
+    /// adds `sigmoid(d)` in row order and the argmax keeps the first of
+    /// tied classes, so verdicts are bit-identical to the row-at-a-time
+    /// loop.
     fn score_rows(
         &self,
         features: &[f64],
         n_rows: usize,
         width: usize,
-        logits: &mut [f64],
+        scratch: &mut [f64],
     ) -> Result<ScoreTotals, FleetError> {
-        let n_classes = logits.len();
+        let n_classes = self.class_bias.len();
+        let stride = padded_lanes(n_classes + 1);
+        let shape_error = || {
+            FleetError::Config(
+                "serving model shape mismatch: encoder width disagrees with the installed weights"
+                    .into(),
+            )
+        };
         if width == 0
             || features.len() < n_rows * width
             || self.class_weights.len() != n_classes * width
-            || self.class_bias.len() != n_classes
             || self.is_attack.len() != n_classes
             || self.disc_weights.len() != width
+            || scratch.len() != score_scratch_len(n_classes, width)
         {
-            return Err(FleetError::Config(
-                "serving model shape mismatch: encoder width disagrees with the installed weights"
-                    .into(),
-            ));
+            return Err(shape_error());
         }
+        let (starts, rest) = scratch
+            .split_at_mut_checked(stride)
+            .ok_or_else(shape_error)?;
+        let (acc, lanes) = rest.split_at_mut_checked(stride).ok_or_else(shape_error)?;
+        starts.fill(0.0);
+        for (start, bias) in starts.iter_mut().zip(
+            self.class_bias
+                .iter()
+                .chain(std::iter::once(&self.disc_bias)),
+        ) {
+            *start = *bias;
+        }
+        let rows = self.class_weights.chunks_exact(width);
+        write_lanes(
+            rows.chain(std::iter::once(self.disc_weights.as_slice())),
+            width,
+            lanes,
+        );
+
         let mut totals = ScoreTotals::default();
         for x in features.chunks_exact(width).take(n_rows) {
-            for ((logit, bias), row) in logits
-                .iter_mut()
-                .zip(self.class_bias.iter())
-                .zip(self.class_weights.chunks_exact(width))
-            {
-                let mut acc = *bias;
-                for (wv, xv) in row.iter().zip(x) {
-                    acc += wv * xv;
-                }
-                *logit = acc;
-            }
+            acc.copy_from_slice(starts);
+            accumulate_lanes(acc, lanes, x);
+            let (logits, probe) = acc.split_at_checked(n_classes).ok_or_else(shape_error)?;
             let mut best = 0usize;
             let mut best_logit = f64::NEG_INFINITY;
             for (c, logit) in logits.iter().enumerate() {
@@ -620,10 +685,7 @@ impl ServingModel {
             if self.is_attack.get(best) == Some(&true) {
                 totals.attack_flagged += 1;
             }
-            let mut d = self.disc_bias;
-            for (wv, xv) in self.disc_weights.iter().zip(x) {
-                d += wv * xv;
-            }
+            let d = probe.first().copied().ok_or_else(shape_error)?;
             totals.disc_sum += sigmoid(d);
         }
         // Observability taps: relaxed atomics only, so the hot loop stays
@@ -635,31 +697,74 @@ impl ServingModel {
     }
 }
 
+/// Accumulator lanes per block: two 256-bit vectors of `f64`, so a block's
+/// lanes advance together and the blocks' chains are independent.
+const LANES: usize = 8;
+
+/// `lanes` rounded up to whole blocks.
+fn padded_lanes(lanes: usize) -> usize {
+    lanes.div_ceil(LANES) * LANES
+}
+
+/// Scratch `score_rows` needs: lane starts, the row's accumulators, and
+/// the feature-major copy of `classes + 1` weight rows (the classes, then
+/// the discriminator).
+fn score_scratch_len(n_classes: usize, width: usize) -> usize {
+    padded_lanes(n_classes + 1) * (width + 2)
+}
+
+/// Writes `rows` (each `width` long) into `out` in lane layout: row `l`
+/// becomes lane `l % LANES` of block `l / LANES`, and a block holds its
+/// lanes' value for feature `j` at `j * LANES + lane`. Lanes no row fills
+/// stay zero.
+fn write_lanes<'a>(rows: impl Iterator<Item = &'a [f64]>, width: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    for (lane, row) in rows.enumerate() {
+        let Some(block) = out.chunks_exact_mut(width.max(1) * LANES).nth(lane / LANES) else {
+            return;
+        };
+        for (slot, v) in block.iter_mut().skip(lane % LANES).step_by(LANES).zip(row) {
+            *slot = *v;
+        }
+    }
+}
+
+/// Adds `Σ_j lane_l[j] · x[j]` to accumulator `l`, for every lane of
+/// `lanes` (laid out by [`write_lanes`] with `x.len()` features), in
+/// ascending `j`. Each accumulator is its own chain from the value `acc`
+/// holds on entry; the lanes of a block share one vector instruction per
+/// feature.
+fn accumulate_lanes(acc: &mut [f64], lanes: &[f64], x: &[f64]) {
+    let block_len = x.len().max(1) * LANES;
+    for (acc, block) in acc
+        .chunks_exact_mut(LANES)
+        .zip(lanes.chunks_exact(block_len))
+    {
+        let mut sums = [0.0; LANES];
+        sums.copy_from_slice(acc);
+        let (features, _) = block.as_chunks::<LANES>();
+        for (xv, w) in x.iter().zip(features) {
+            for (s, wv) in sums.iter_mut().zip(w) {
+                *s += wv * xv;
+            }
+        }
+        acc.copy_from_slice(&sums);
+    }
+}
+
 fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn softmax_into(weights: &[f64], bias: &[f64], x: &[f64], width: usize, out: &mut [f64]) {
-    if width == 0 {
-        for (o, b) in out.iter_mut().zip(bias) {
-            *o = *b;
-        }
-    } else {
-        for ((o, b), row) in out.iter_mut().zip(bias).zip(weights.chunks_exact(width)) {
-            *o = *b + dot(row, x);
-        }
-    }
-    let max = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+/// Softmax of `logits`, in place, with the max subtracted first.
+fn softmax_in_place(logits: &mut [f64]) {
+    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
-    for o in out.iter_mut() {
+    for o in logits.iter_mut() {
         *o = (*o - max).exp();
         sum += *o;
     }
-    for o in out.iter_mut() {
+    for o in logits.iter_mut() {
         *o /= sum;
     }
 }
@@ -1076,6 +1181,9 @@ impl FleetService {
         Ok(stats)
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -32,7 +32,7 @@
 //! such as a generator's nodes behind a [`Var::detach`], cost neither a
 //! zero-fill nor a scan.
 
-use crate::param::Param;
+use crate::param::{Param, ParamSet};
 use kinet_tensor::Matrix;
 use std::cell::{Cell, RefCell};
 
@@ -109,6 +109,8 @@ pub struct Tape {
     live: Cell<usize>,
     /// Node-index lists: concatenation operands and [`VarList`]s.
     lists: RefCell<Vec<usize>>,
+    /// Parameters this pass registers as constants ([`Tape::freeze`]).
+    frozen: RefCell<Vec<Param>>,
 }
 
 /// A handle to a node on a [`Tape`].
@@ -187,6 +189,7 @@ impl Tape {
             node.op = Op::Leaf;
         }
         self.lists.get_mut().clear();
+        self.frozen.get_mut().clear();
     }
 
     /// Records `op` in the next slot; it needs a gradient when it is a
@@ -242,11 +245,24 @@ impl Tape {
     }
 
     /// Registers a trainable parameter, copying its current value; its
-    /// gradient is filled in by [`Tape::backward`].
+    /// gradient is filled in by [`Tape::backward`]. A parameter frozen for
+    /// this pass ([`Tape::freeze`]) is registered as a constant instead.
     pub fn param(&self, p: &Param) -> Var<'_> {
-        self.push(Op::Param(p.clone()), &[], |_, out| {
-            p.with_value(|v| out.copy_from(v))
-        })
+        let frozen = self.frozen.borrow().iter().any(|f| f.same_as(p));
+        let op = if frozen {
+            Op::Leaf
+        } else {
+            Op::Param(p.clone())
+        };
+        self.push(op, &[], |_, out| p.with_value(|v| out.copy_from(v)))
+    }
+
+    /// Registers every parameter of `params` as a constant for the rest of
+    /// this pass, until [`Tape::reset`]: the reverse pass then computes no
+    /// gradient for them and leaves theirs untouched, while the values a
+    /// forward pass reads, and every other gradient, stay bit-identical.
+    pub fn freeze(&self, params: &ParamSet) {
+        self.frozen.borrow_mut().extend(params.iter().cloned());
     }
 
     /// Stores `vars` as a [`VarList`] on the tape.
@@ -1261,6 +1277,27 @@ mod tests {
         tape.backward(loss);
         assert_eq!(pa.grad()[(0, 0)], 0.0);
         assert_eq!(pb.grad()[(0, 0)], 9.0);
+    }
+
+    #[test]
+    fn frozen_params_are_constants_until_reset() {
+        let mut tape = Tape::new();
+        let (pa, pb) = (
+            Param::new(Matrix::full(1, 1, 3.0)),
+            Param::new(Matrix::full(1, 1, 4.0)),
+        );
+        let mut frozen = ParamSet::new();
+        frozen.push(pb.clone());
+        tape.freeze(&frozen);
+        let loss = tape.param(&pa).mul(tape.param(&pb)).sum();
+        assert_eq!(loss.scalar(), 12.0);
+        tape.backward(loss);
+        assert_eq!(pa.grad()[(0, 0)], 4.0);
+        assert_eq!(pb.grad()[(0, 0)], 0.0, "a frozen param gets no gradient");
+        tape.reset();
+        let loss = tape.param(&pa).mul(tape.param(&pb)).sum();
+        tape.backward(loss);
+        assert_eq!(pb.grad()[(0, 0)], 3.0, "reset thaws it");
     }
 
     #[test]

@@ -266,8 +266,9 @@ fn serving_allocations_do_not_grow_with_the_batch() {
             })
         })
         .collect();
-    // `score_batch` allocates the encoded feature buffer and the logits
-    // once per batch; the per-row loop in `score_rows` must add nothing.
+    // `score_batch` allocates the encoded feature buffer and the scorer's
+    // scratch (lane weights and accumulators) once per batch; the per-row
+    // loop in `score_rows` must add nothing.
     assert!(
         counts.iter().all(|&c| c == counts[0]),
         "allocations per batch at 64/128/1024 rows: {counts:?}"
@@ -328,8 +329,9 @@ impl GanStep {
         }
     }
 
-    /// A D pass on detached fake rows, then a G pass with the condition
-    /// cross-entropy, each with backward, clipping and an Adam step.
+    /// A D pass on detached fake rows, then a G pass (critics frozen) with
+    /// the condition cross-entropy, each with backward, clipping and an
+    /// Adam step.
     fn run(&mut self, tape: &mut Tape) {
         tape.reset();
         let fake = self
@@ -351,6 +353,7 @@ impl GanStep {
         self.d_opt.zero_grad();
 
         tape.reset();
+        tape.freeze(self.d_opt.params());
         let fake = self
             .generator
             .generate(tape, &self.c, 0.2, true, &mut self.rng);
@@ -368,7 +371,6 @@ impl GanStep {
         self.g_opt.params().clip_grad_norm(1e-3);
         self.g_opt.step();
         self.g_opt.zero_grad();
-        self.d_opt.zero_grad();
     }
 }
 

@@ -178,3 +178,46 @@ fn release_bytes_are_pinned() {
         );
     }
 }
+
+#[test]
+fn serving_bytes_are_pinned() {
+    // Absolute pins on the serving model at the benchmark's shape: its
+    // snapshot bytes (every trained weight) and its verdicts on three
+    // fixed flow batches, down to the bits of the mean discriminator.
+    use kinetgan_suite::fleet::storage::fnv1a64;
+    use kinetgan_suite::fleet::{ServingConfig, ServingModel};
+    let seed = 42u64;
+    let pool = LabSimulator::new(LabSimConfig::small(2000, seed ^ 0x5e7e))
+        .generate()
+        .expect("lab generation succeeds");
+    let model = ServingModel::train(&pool, ServingConfig::default().train_epochs, seed)
+        .expect("serving model trains");
+    let bytes = serde_json::to_string(&model)
+        .expect("snapshot encodes")
+        .into_bytes();
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (6961, 0xea83_3003_3996_52da),
+        "serving snapshot bytes changed: {} B, fnv1a64 {:016x}",
+        bytes.len(),
+        fnv1a64(&bytes)
+    );
+    let verdicts: Vec<(usize, usize, u64)> = (0..3u64)
+        .map(|i| {
+            let flows = LabSimulator::new(LabSimConfig::small(
+                128,
+                seed ^ 0xf10e ^ i.wrapping_mul(0x9e37_79b9),
+            ))
+            .generate()
+            .expect("lab generation succeeds");
+            let (rows, flagged, disc) = model.score_batch(&flows).expect("batch scores");
+            (rows, flagged, disc.to_bits())
+        })
+        .collect();
+    let half = 0.5f64.to_bits();
+    assert_eq!(
+        verdicts,
+        vec![(128, 7, half), (128, 11, half), (128, 6, half)],
+        "serving verdicts changed: {verdicts:x?}"
+    );
+}
